@@ -162,6 +162,37 @@ mod tests {
     }
 
     #[test]
+    fn back_to_back_small_frames_do_not_wait_for_delayed_acks() {
+        // two small frames to one peer, then a wait for its reply: with
+        // Nagle on, the second frame sits until the peer's delayed ACK
+        // (≈ 40 ms per round on Linux); with TCP_NODELAY a round is a
+        // loopback round trip
+        const ROUNDS: usize = 20;
+        let results = run_spmd_tcp(2, T, |comm| {
+            let t0 = Instant::now();
+            for round in 0..ROUNDS {
+                let x = round as f64;
+                if comm.rank() == 0 {
+                    comm.send(1, 1, &[x]).unwrap();
+                    comm.send(1, 2, &[x]).unwrap();
+                    assert_eq!(comm.recv(1, 3).unwrap(), vec![2.0 * x]);
+                } else {
+                    let a = comm.recv(0, 1).unwrap()[0];
+                    let b = comm.recv(0, 2).unwrap()[0];
+                    comm.send(0, 3, &[a + b]).unwrap();
+                }
+            }
+            t0.elapsed()
+        })
+        .unwrap();
+        assert!(
+            results[0] < Duration::from_millis(200),
+            "{ROUNDS} rounds took {:?}",
+            results[0]
+        );
+    }
+
+    #[test]
     fn tcp_peer_drop_surfaces_typed_error() {
         let results = run_spmd_tcp(2, Duration::from_secs(10), |comm| {
             comm.enter_phase("sync_0");

@@ -18,6 +18,15 @@
 //!   [`CommError`] only for receives that actually target the dead peer
 //!   (after draining everything it sent first).
 //!
+//! Every mesh data stream is `TCP_NODELAY`. The writer puts each frame
+//! on the socket as soon as it is queued, and the SPMD schedule sends
+//! runs of small frames to one peer and then waits for its reply (a
+//! halo followed by an allreduce). With Nagle's algorithm on, the
+//! second small frame is held until the first is acknowledged, and the
+//! peer delays that ACK (≈ 40 ms on Linux) — a stall per round that
+//! dwarfs the loopback round trip. Each frame is one whole message
+//! written with a single `write_all`, so no write is needlessly tiny.
+//!
 //! Fault-tolerance hardening on top of the mesh:
 //!
 //! * a **heartbeat** thread drops a tiny liveness frame into every write
@@ -338,6 +347,11 @@ impl TcpTransport {
         let mut writers: WriterQueues = (0..size).map(|_| None).collect();
         let mut writer_handles = Vec::with_capacity(size.saturating_sub(1));
         for (peer, stream) in streams {
+            // a frame queued behind an unacknowledged one must not wait
+            // for the peer's delayed ACK (see the module docs)
+            stream
+                .set_nodelay(true)
+                .map_err(|e| io_err(rank, peer, &e))?;
             let reader = stream.try_clone().map_err(|e| io_err(rank, peer, &e))?;
             let inbox_tx = inbox_tx.clone();
             let seen = Arc::clone(&last_seen);

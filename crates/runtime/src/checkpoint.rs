@@ -34,7 +34,7 @@
 
 use serde::json::{self, Value};
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// Version of the snapshot/manifest schema. Bump on any incompatible
@@ -209,29 +209,6 @@ pub struct RunManifest {
 // JSON codec
 // ---------------------------------------------------------------------
 
-fn bits_arr(bits: &[u64]) -> Value {
-    Value::Arr(bits.iter().map(|&b| Value::Int(i128::from(b))).collect())
-}
-
-fn array_snap_json(a: &ArraySnap) -> Value {
-    Value::obj(vec![
-        ("name", Value::Str(a.name.clone())),
-        (
-            "bounds",
-            Value::Arr(
-                a.bounds
-                    .iter()
-                    .map(|&(lo, hi)| {
-                        Value::Arr(vec![Value::Int(i128::from(lo)), Value::Int(i128::from(hi))])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("is_int", Value::Bool(a.is_int)),
-        ("data", bits_arr(&a.data)),
-    ])
-}
-
 fn scalar_json(s: &ScalarSnap) -> Value {
     match s {
         ScalarSnap::Int(v) => Value::obj(vec![
@@ -253,29 +230,132 @@ fn scalar_json(s: &ScalarSnap) -> Value {
     }
 }
 
-/// Render a snapshot as schema-versioned JSON.
+/// `"00"`, `"01"`, ..., `"99"`: two decimal digits per table step.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut t = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        t[2 * i] = b'0' + (i / 10) as u8;
+        t[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    t
+};
+
+/// `n < 10^4` as exactly four digits.
+fn four(out: &mut [u8], n: u32) {
+    let (hi, lo) = ((n / 100) as usize * 2, (n % 100) as usize * 2);
+    out[0..2].copy_from_slice(&DIGIT_PAIRS[hi..hi + 2]);
+    out[2..4].copy_from_slice(&DIGIT_PAIRS[lo..lo + 2]);
+}
+
+/// `n < 10^8` as exactly eight digits.
+fn eight(out: &mut [u8], n: u32) {
+    four(&mut out[0..4], n / 10_000);
+    four(&mut out[4..8], n % 10_000);
+}
+
+/// Single-pass snapshot writer. The bulk of a snapshot is `u64` bit
+/// patterns, written straight into the buffer as decimal digits; the
+/// few small fields (names, scalars, cursor, output lines) go through
+/// the `Value` renderer, so their escaping is the JSON module's own.
+struct SnapWriter {
+    out: Vec<u8>,
+}
+
+impl SnapWriter {
+    fn raw(&mut self, s: &str) {
+        self.out.extend_from_slice(s.as_bytes());
+    }
+
+    /// `"key":value` pairs, comma-separated. Keys are plain field
+    /// names, which JSON needs no escapes for.
+    fn pairs(&mut self, pairs: &[(&str, Value)]) {
+        for (i, (k, v)) in pairs.iter().enumerate() {
+            if i > 0 {
+                self.raw(",");
+            }
+            write!(self.out, "\"{k}\":{v}").expect("writing to a Vec cannot fail");
+        }
+    }
+
+    /// `n` in decimal. All 20 digit places are filled in three
+    /// independent chunks (4 + 8 + 8 digits, two per table step), then
+    /// the leading zeros are dropped.
+    fn u64(&mut self, n: u64) {
+        const E8: u64 = 100_000_000;
+        let mut buf = [0u8; 20];
+        four(&mut buf[0..4], (n / E8 / E8) as u32);
+        eight(&mut buf[4..12], (n / E8 % E8) as u32);
+        eight(&mut buf[12..20], (n % E8) as u32);
+        let first = buf[..19].iter().position(|&d| d != b'0').unwrap_or(19);
+        self.out.extend_from_slice(&buf[first..]);
+    }
+
+    /// A JSON array of `items`, each written by `item`.
+    fn list<T>(&mut self, items: &[T], mut item: impl FnMut(&mut Self, &T)) {
+        self.raw("[");
+        for (i, x) in items.iter().enumerate() {
+            if i > 0 {
+                self.raw(",");
+            }
+            item(self, x);
+        }
+        self.raw("]");
+    }
+
+    fn bits(&mut self, bits: &[u64]) {
+        self.list(bits, |w, &b| w.u64(b));
+    }
+
+    fn array(&mut self, a: &ArraySnap) {
+        self.raw("{");
+        let bounds = a
+            .bounds
+            .iter()
+            .map(|&(lo, hi)| {
+                Value::Arr(vec![Value::Int(i128::from(lo)), Value::Int(i128::from(hi))])
+            })
+            .collect();
+        self.pairs(&[
+            ("name", Value::Str(a.name.clone())),
+            ("bounds", Value::Arr(bounds)),
+            ("is_int", Value::Bool(a.is_int)),
+        ]);
+        self.raw(",\"data\":");
+        self.bits(&a.data);
+        self.raw("}");
+    }
+}
+
+/// Render a snapshot as schema-versioned JSON, in one pass over a
+/// buffer sized for its bit-pattern payload. The format is pinned by
+/// `tests/data/snapshot-golden.json`.
 pub fn snapshot_to_json(s: &Snapshot) -> String {
-    let cursor = Value::obj(vec![
-        ("stmt", Value::Int(i128::from(s.cursor.stmt))),
-        (
-            "dos",
-            Value::Arr(
-                s.cursor
-                    .dos
-                    .iter()
-                    .map(|d| {
-                        Value::obj(vec![
-                            ("var", Value::Str(d.var.clone())),
-                            ("iv", Value::Int(i128::from(d.iv))),
-                            ("step", Value::Int(i128::from(d.step))),
-                            ("remaining", Value::Int(i128::from(d.remaining))),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
-    let mut fields = vec![
+    let words = s.input.len()
+        + s.arrays
+            .iter()
+            .chain(s.commons.iter().map(|(_, _, a)| a))
+            .map(|a| a.data.len())
+            .sum::<usize>();
+    // 20 digits and a comma bound every word; the rest is small
+    let mut w = SnapWriter {
+        out: Vec::with_capacity(words * 21 + 4096),
+    };
+    let dos = s
+        .cursor
+        .dos
+        .iter()
+        .map(|d| {
+            Value::obj(vec![
+                ("var", Value::Str(d.var.clone())),
+                ("iv", Value::Int(i128::from(d.iv))),
+                ("step", Value::Int(i128::from(d.step))),
+                ("remaining", Value::Int(i128::from(d.remaining))),
+            ])
+        })
+        .collect();
+    let mut head = vec![
         ("version", Value::Int(i128::from(CHECKPOINT_SCHEMA_VERSION))),
         ("rank", Value::Int(s.rank as i128)),
         ("ranks", Value::Int(s.ranks as i128)),
@@ -285,10 +365,16 @@ pub fn snapshot_to_json(s: &Snapshot) -> String {
         ),
         ("epoch", Value::Int(i128::from(s.epoch))),
         ("sync_id", Value::Int(i128::from(s.sync_id))),
-        ("cursor", cursor),
+        (
+            "cursor",
+            Value::obj(vec![
+                ("stmt", Value::Int(i128::from(s.cursor.stmt))),
+                ("dos", Value::Arr(dos)),
+            ]),
+        ),
     ];
     if let Some(c) = &s.cut {
-        fields.push((
+        head.push((
             "cut",
             Value::obj(vec![
                 ("kind", Value::Int(i128::from(c.list_kind))),
@@ -298,41 +384,37 @@ pub fn snapshot_to_json(s: &Snapshot) -> String {
             ]),
         ));
     }
-    fields.extend(vec![
-        (
-            "arrays",
-            Value::Arr(s.arrays.iter().map(array_snap_json).collect()),
-        ),
-        (
-            "commons",
-            Value::Arr(
-                s.commons
-                    .iter()
-                    .map(|(block, name, a)| {
-                        Value::obj(vec![
-                            ("block", Value::Str(block.clone())),
-                            ("member", Value::Str(name.clone())),
-                            ("array", array_snap_json(a)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "scalars",
-            Value::Arr(
-                s.scalars
-                    .iter()
-                    .map(|(name, v)| {
-                        Value::obj(vec![
-                            ("name", Value::Str(name.clone())),
-                            ("value", scalar_json(v)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("input", bits_arr(&s.input)),
+    w.raw("{");
+    w.pairs(&head);
+    w.raw(",\"arrays\":");
+    w.list(&s.arrays, SnapWriter::array);
+    w.raw(",\"commons\":");
+    w.list(&s.commons, |w, (block, member, a)| {
+        w.raw("{");
+        w.pairs(&[
+            ("block", Value::Str(block.clone())),
+            ("member", Value::Str(member.clone())),
+        ]);
+        w.raw(",\"array\":");
+        w.array(a);
+        w.raw("}");
+    });
+    w.raw(",");
+    let scalars = s
+        .scalars
+        .iter()
+        .map(|(name, v)| {
+            Value::obj(vec![
+                ("name", Value::Str(name.clone())),
+                ("value", scalar_json(v)),
+            ])
+        })
+        .collect();
+    w.pairs(&[("scalars", Value::Arr(scalars))]);
+    w.raw(",\"input\":");
+    w.bits(&s.input);
+    w.raw(",");
+    w.pairs(&[
         (
             "output",
             Value::Arr(s.output.iter().map(|l| Value::Str(l.clone())).collect()),
@@ -347,7 +429,8 @@ pub fn snapshot_to_json(s: &Snapshot) -> String {
             ]),
         ),
     ]);
-    Value::obj(fields).to_string()
+    w.raw("}");
+    String::from_utf8(w.out).expect("snapshot JSON is UTF-8")
 }
 
 /// Accept any schema version this build knows how to read (1 through
@@ -919,6 +1002,33 @@ mod tests {
         assert_eq!(back, s);
         // NaN payload preserved exactly through the bits encoding
         assert_eq!(back.arrays[0].data[2], f64::NAN.to_bits());
+    }
+
+    #[test]
+    fn digit_writer_matches_display() {
+        // every digit count, both sides of each power of ten, and a
+        // spread of full-width patterns
+        let mut words: Vec<u64> = (0..20)
+            .flat_map(|k| {
+                let p = 10u64.pow(k);
+                [p - 1, p, p + 1]
+            })
+            .collect();
+        let mut x = 1u64;
+        words.extend((0..1000).map(|_| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            x >> (x % 64)
+        }));
+        words.push(u64::MAX);
+        let mut w = SnapWriter { out: Vec::new() };
+        w.bits(&words);
+        let expect: Vec<String> = words.iter().map(u64::to_string).collect();
+        assert_eq!(
+            String::from_utf8(w.out).unwrap(),
+            format!("[{}]", expect.join(","))
+        );
     }
 
     #[test]
