@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use serde::json::Value;
 
-use crate::diagnose::{hot_phase, render_diagnosis, Diagnosis};
+use crate::diagnose::{render_diagnosis, Diagnosis};
 use crate::divergence::{render_divergence, PhaseDivergence};
 use crate::search::{render_recommendation, Candidate, Recommendation};
 
@@ -55,21 +55,23 @@ impl Advice {
     /// Serialize to the schema-versioned `advice.json` document.
     pub fn to_json(&self) -> Value {
         let d = &self.diagnosis;
-        let phases: Vec<Value> = d
+        let r = &d.rollup;
+        let phases: Vec<Value> = r
             .phases
             .iter()
             .enumerate()
             .map(|(i, p)| {
+                let t = p.total();
                 Value::obj(vec![
-                    ("phase", Value::Str(p.phase.clone())),
+                    ("phase", Value::Str(p.name.clone())),
                     (
                         "compute_ms_per_rank",
-                        Value::Arr(p.compute.iter().map(|&c| ms(c)).collect()),
+                        Value::Arr(p.compute().into_iter().map(ms).collect()),
                     ),
-                    ("wait_ms", ms(p.total_wait())),
-                    ("overlap_ms", ms(p.total_overlap())),
-                    ("bytes", Value::Int(p.total_bytes() as i128)),
-                    ("msgs", Value::Int(p.total_msgs() as i128)),
+                    ("wait_ms", ms(t.wait)),
+                    ("overlap_ms", ms(t.overlap)),
+                    ("bytes", Value::Int(t.bytes as i128)),
+                    ("msgs", Value::Int(t.msgs as i128)),
                     (
                         "imbalance",
                         p.imbalance().map(Value::Float).unwrap_or(Value::Null),
@@ -77,36 +79,39 @@ impl Advice {
                     (
                         "straggler",
                         p.straggler()
-                            .map(|r| Value::Int(r as i128))
+                            .map(|s| Value::Int(s as i128))
                             .unwrap_or(Value::Null),
                     ),
                     (
                         "exposed_pct",
-                        p.exposed_pct().map(Value::Float).unwrap_or(Value::Null),
+                        t.exposed_pct().map(Value::Float).unwrap_or(Value::Null),
                     ),
-                    ("critical_share_pct", Value::Float(d.critical_share(i))),
+                    ("critical_share_pct", Value::Float(r.critical_share(i))),
                 ])
             })
             .collect();
         let diagnosis = Value::obj(vec![
-            ("imbalance", Value::Float(d.imbalance)),
+            ("imbalance", Value::Float(r.imbalance())),
             (
                 "straggler",
-                d.straggler
-                    .map(|r| Value::Int(r as i128))
+                r.straggler()
+                    .map(|s| Value::Int(s as i128))
                     .unwrap_or(Value::Null),
             ),
             (
                 "exposed_pct",
-                d.exposed_pct.map(Value::Float).unwrap_or(Value::Null),
+                r.total()
+                    .exposed_pct()
+                    .map(Value::Float)
+                    .unwrap_or(Value::Null),
             ),
             (
                 "hot_phase",
-                hot_phase(d)
+                r.hot_phase()
                     .map(|(name, _, _)| Value::Str(name.into()))
                     .unwrap_or(Value::Null),
             ),
-            ("critical_path_ms", ms(d.critical_path())),
+            ("critical_path_ms", ms(r.critical_path())),
             (
                 "critical_path_measured_ms",
                 d.critical_path_measured.map(ms).unwrap_or(Value::Null),
@@ -151,9 +156,9 @@ impl Advice {
             ("schema", Value::Int(ADVICE_SCHEMA_VERSION as i128)),
             ("kind", Value::Str("advice".into())),
             ("transport", Value::Str(d.transport.clone())),
-            ("ranks", Value::Int(d.ranks as i128)),
+            ("ranks", Value::Int(r.ranks() as i128)),
             ("complete", Value::Bool(d.complete)),
-            ("wall_ms", ms(d.wall)),
+            ("wall_ms", ms(r.makespan())),
             ("tolerance", Value::Float(self.tolerance)),
             ("diagnosis", diagnosis),
             ("divergence", divergence),
@@ -164,7 +169,7 @@ impl Advice {
     /// Render the full human-readable advisor report.
     pub fn render(&self) -> String {
         let mut out = render_diagnosis(&self.diagnosis);
-        if let Some((name, busy, share)) = hot_phase(&self.diagnosis) {
+        if let Some((name, busy, share)) = self.diagnosis.rollup.hot_phase() {
             out.push_str(&format!(
                 "hot phase: {name} ({:.1}ms on the critical path, {share:.1}% of it)\n",
                 busy.as_secs_f64() * 1e3

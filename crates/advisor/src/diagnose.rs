@@ -1,166 +1,37 @@
 //! Load-imbalance and exposed-communication diagnosis.
 //!
-//! Aggregates a [`MergedTrace`] into per-phase, per-rank load figures
-//! and derives the three observations the advisor reasons about:
-//! compute-span skew (who is the straggler and by how much), critical-
-//! path attribution (which phase the slowest rank actually spends the
-//! run in), and exposed communication (how much of each sync's wait
-//! latency the overlap machinery failed to hide).
+//! [`diagnose`] folds a [`MergedTrace`] once into an
+//! [`autocfd_runtime::Rollup`] — per-phase, per-rank compute / overlap
+//! / comm / wait, messages and bytes under the runtime's single span
+//! classification — and adds the one figure the rollup cannot give:
+//! the cross-rank critical path measured through the send→recv edges.
+//! The three observations the advisor reasons about all read that
+//! rollup: compute-span skew (who is the straggler and by how much),
+//! critical-path attribution (which phase the slowest rank actually
+//! spends the run in), and exposed communication (how much of each
+//! sync's wait latency the overlap machinery failed to hide).
 
 use std::collections::HashMap;
 use std::time::Duration;
 
 use autocfd_runtime::journal::MergedTrace;
 use autocfd_runtime::trace::EventKind;
-
-/// Per-rank load figures for one phase, in rank order.
-///
-/// Span accounting matches [`autocfd_runtime::export::phase_metrics`]:
-/// `Compute` spans count as compute, `Overlap` spans count as compute
-/// *and* overlap (interior work done while comm was in flight),
-/// `Send`/`Reduce` as comm, `Recv`/`Barrier` as wait.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhaseLoad {
-    /// Phase name (cross-rank first-appearance order).
-    pub phase: String,
-    /// Compute span total per rank.
-    pub compute: Vec<Duration>,
-    /// Comm (send/reduce) span total per rank.
-    pub comm: Vec<Duration>,
-    /// Wait (recv/barrier) span total per rank.
-    pub wait: Vec<Duration>,
-    /// Overlap span total per rank (compute hidden under comm).
-    pub overlap: Vec<Duration>,
-    /// Wire bytes per rank (both directions).
-    pub bytes: Vec<u64>,
-    /// Message events per rank (sends + receives + reduces).
-    pub msgs: Vec<u64>,
-}
-
-impl PhaseLoad {
-    /// Total compute across all ranks.
-    pub fn total_compute(&self) -> Duration {
-        self.compute.iter().sum()
-    }
-
-    /// Total wait across all ranks.
-    pub fn total_wait(&self) -> Duration {
-        self.wait.iter().sum()
-    }
-
-    /// Total overlap across all ranks.
-    pub fn total_overlap(&self) -> Duration {
-        self.overlap.iter().sum()
-    }
-
-    /// Total wire bytes across all ranks (both directions).
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes.iter().sum()
-    }
-
-    /// Total message events across all ranks.
-    pub fn total_msgs(&self) -> u64 {
-        self.msgs.iter().sum()
-    }
-
-    /// Compute skew: max over mean of the per-rank compute totals.
-    /// `None` when the phase has no compute at all.
-    pub fn imbalance(&self) -> Option<f64> {
-        let total = self.total_compute().as_secs_f64();
-        if total == 0.0 || self.compute.is_empty() {
-            return None;
-        }
-        let mean = total / self.compute.len() as f64;
-        let max = self
-            .compute
-            .iter()
-            .map(Duration::as_secs_f64)
-            .fold(0.0, f64::max);
-        Some(max / mean)
-    }
-
-    /// The rank with the largest compute total, or `None` when the
-    /// phase has no compute.
-    pub fn straggler(&self) -> Option<usize> {
-        if self.total_compute().is_zero() {
-            return None;
-        }
-        self.compute
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, c)| **c)
-            .map(|(r, _)| r)
-    }
-
-    /// Share of this phase's comm latency that stayed *exposed*:
-    /// `wait / (wait + overlap)`. `None` when the phase has neither
-    /// wait nor overlap (a pure-compute phase).
-    pub fn exposed_pct(&self) -> Option<f64> {
-        let wait = self.total_wait().as_secs_f64();
-        let hidden = self.total_overlap().as_secs_f64();
-        if wait + hidden == 0.0 {
-            return None;
-        }
-        Some(100.0 * wait / (wait + hidden))
-    }
-
-    /// One rank's busy time in this phase: compute + comm + wait
-    /// (overlap is already inside compute).
-    pub fn busy(&self, rank: usize) -> Duration {
-        self.compute[rank] + self.comm[rank] + self.wait[rank]
-    }
-
-    /// The slowest rank's busy time — this phase's contribution to the
-    /// run's critical path.
-    pub fn critical_busy(&self) -> Duration {
-        (0..self.compute.len())
-            .map(|r| self.busy(r))
-            .max()
-            .unwrap_or_default()
-    }
-
-    /// p50 and p95 of the per-rank busy times (nearest-rank, same
-    /// convention as [`autocfd_runtime::export::percentiles`]).
-    pub fn busy_percentiles(&self) -> (Duration, Duration) {
-        let mut samples: Vec<Duration> = (0..self.compute.len()).map(|r| self.busy(r)).collect();
-        let pct = autocfd_runtime::export::percentiles(&mut samples);
-        (pct.p50, pct.p95)
-    }
-
-    /// Whether this phase moved any messages (a sync / reduce phase
-    /// rather than a pure compute phase).
-    pub fn is_comm(&self) -> bool {
-        self.total_msgs() > 0 || !self.total_wait().is_zero()
-    }
-}
+use autocfd_runtime::Rollup;
 
 /// The full diagnosis of one merged trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Diagnosis {
-    /// Rank count.
-    pub ranks: usize,
     /// Transport the run used (from the journal headers).
     pub transport: String,
     /// Whether every rank's journal carried a footer.
     pub complete: bool,
-    /// Merged makespan: latest event end minus earliest event start.
-    pub wall: Duration,
-    /// Per-phase load figures, in cross-rank first-appearance order.
-    pub phases: Vec<PhaseLoad>,
-    /// Whole-run compute total per rank.
-    pub compute_per_rank: Vec<Duration>,
-    /// Whole-run compute skew (max over mean); `1.0` for a run with no
-    /// compute at all.
-    pub imbalance: f64,
-    /// The rank with the largest whole-run compute total, when any
-    /// compute was recorded.
-    pub straggler: Option<usize>,
-    /// Whole-run exposed-communication share, when the run had any
-    /// wait or overlap.
-    pub exposed_pct: Option<f64>,
+    /// The rollup the diagnosis was built from: per-phase per-rank
+    /// load, skew, straggler, exposure and the phase-ordered critical
+    /// path.
+    pub rollup: Rollup,
     /// The *measured* cross-rank critical path: the longest busy chain
     /// through the send→recv causality edges the runtime stamped into
-    /// the trace (journal schema 3). Unlike [`Diagnosis::critical_path`],
+    /// the trace (journal schema 3). Unlike [`Rollup::critical_path`],
     /// which sums each phase's slowest rank, this follows actual message
     /// dependencies — a wait only lengthens the path when the matching
     /// send really gated it. `None` when no recv carried a matched edge
@@ -171,28 +42,6 @@ pub struct Diagnosis {
     /// Recv events with no pairable stamp: unstamped (old journal) or
     /// the sender's journal was truncated before the matching send.
     pub edges_unmatched: usize,
-}
-
-impl Diagnosis {
-    /// Total compute across all ranks and phases.
-    pub fn total_compute(&self) -> Duration {
-        self.compute_per_rank.iter().sum()
-    }
-
-    /// Sum of every phase's slowest-rank busy time — the critical path
-    /// as the phase-ordered trace saw it.
-    pub fn critical_path(&self) -> Duration {
-        self.phases.iter().map(PhaseLoad::critical_busy).sum()
-    }
-
-    /// One phase's share of the critical path, in percent.
-    pub fn critical_share(&self, phase: usize) -> f64 {
-        let total = self.critical_path().as_secs_f64();
-        if total == 0.0 {
-            return 0.0;
-        }
-        100.0 * self.phases[phase].critical_busy().as_secs_f64() / total
-    }
 }
 
 /// The longest busy chain through the measured send→recv causality
@@ -264,149 +113,18 @@ fn measured_critical_path(merged: &MergedTrace) -> (Option<Duration>, usize, usi
     (path, matched, unmatched)
 }
 
-/// Diagnose a merged trace: fold every event into per-phase per-rank
-/// load figures and derive skew, straggler, and exposure.
+/// Diagnose a merged trace: fold it into a [`Rollup`] and replay its
+/// send→recv edges for the measured critical path.
 pub fn diagnose(merged: &MergedTrace) -> Diagnosis {
-    let ranks = merged.traces.len();
-    // Cross-rank first-appearance phase order, rank 0 first — the same
-    // order `export::phase_metrics` renders.
-    let mut order: Vec<String> = Vec::new();
-    for names in &merged.phase_names {
-        for name in names {
-            if !order.contains(name) {
-                order.push(name.clone());
-            }
-        }
-    }
-    let mut phases: Vec<PhaseLoad> = order
-        .into_iter()
-        .map(|phase| PhaseLoad {
-            phase,
-            compute: vec![Duration::ZERO; ranks],
-            comm: vec![Duration::ZERO; ranks],
-            wait: vec![Duration::ZERO; ranks],
-            overlap: vec![Duration::ZERO; ranks],
-            bytes: vec![0; ranks],
-            msgs: vec![0; ranks],
-        })
-        .collect();
-
-    let mut start = Duration::MAX;
-    let mut end = Duration::ZERO;
-    for (rank, trace) in merged.traces.iter().enumerate() {
-        let names = &merged.phase_names[rank];
-        for ev in trace {
-            start = start.min(ev.start);
-            end = end.max(ev.end);
-            let Some(name) = names.get(ev.phase as usize) else {
-                continue;
-            };
-            let Some(load) = phases.iter_mut().find(|p| &p.phase == name) else {
-                continue;
-            };
-            let span = ev.span();
-            match ev.kind {
-                EventKind::Compute => load.compute[rank] += span,
-                EventKind::Overlap => {
-                    load.compute[rank] += span;
-                    load.overlap[rank] += span;
-                }
-                EventKind::Send | EventKind::Reduce => {
-                    load.comm[rank] += span;
-                    load.msgs[rank] += 1;
-                    load.bytes[rank] += ev.bytes as u64;
-                }
-                EventKind::Recv => {
-                    load.wait[rank] += span;
-                    load.msgs[rank] += 1;
-                    load.bytes[rank] += ev.bytes as u64;
-                }
-                EventKind::Barrier => load.wait[rank] += span,
-            }
-        }
-    }
-    let wall = end.saturating_sub(if start == Duration::MAX {
-        Duration::ZERO
-    } else {
-        start
-    });
-
-    let mut compute_per_rank = vec![Duration::ZERO; ranks];
-    let mut wait_total = Duration::ZERO;
-    let mut overlap_total = Duration::ZERO;
-    for load in &phases {
-        for (acc, c) in compute_per_rank.iter_mut().zip(&load.compute) {
-            *acc += *c;
-        }
-        wait_total += load.total_wait();
-        overlap_total += load.total_overlap();
-    }
-    let total_compute: Duration = compute_per_rank.iter().sum();
-    let imbalance = if total_compute.is_zero() || ranks == 0 {
-        1.0
-    } else {
-        let mean = total_compute.as_secs_f64() / ranks as f64;
-        let max = compute_per_rank
-            .iter()
-            .map(Duration::as_secs_f64)
-            .fold(0.0, f64::max);
-        max / mean
-    };
-    let straggler = if total_compute.is_zero() {
-        None
-    } else {
-        compute_per_rank
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, c)| **c)
-            .map(|(r, _)| r)
-    };
-    let exposed_pct = {
-        let w = wait_total.as_secs_f64();
-        let h = overlap_total.as_secs_f64();
-        if w + h == 0.0 {
-            None
-        } else {
-            Some(100.0 * w / (w + h))
-        }
-    };
-
     let (critical_path_measured, edges_matched, edges_unmatched) = measured_critical_path(merged);
-
     Diagnosis {
-        ranks,
         transport: merged.transport.clone(),
         complete: merged.complete,
-        wall,
-        phases,
-        compute_per_rank,
-        imbalance,
-        straggler,
-        exposed_pct,
+        rollup: Rollup::of(merged),
         critical_path_measured,
         edges_matched,
         edges_unmatched,
     }
-}
-
-/// The advisor's one-line verdict over a diagnosis: the phase with the
-/// largest critical-path contribution, its slowest-rank busy time, and
-/// its share of the critical path in percent. `None` for an empty
-/// trace.
-pub fn hot_phase(diag: &Diagnosis) -> Option<(&str, Duration, f64)> {
-    let (idx, load) = diag
-        .phases
-        .iter()
-        .enumerate()
-        .max_by_key(|(_, p)| p.critical_busy())?;
-    if load.critical_busy().is_zero() {
-        return None;
-    }
-    Some((
-        load.phase.as_str(),
-        load.critical_busy(),
-        diag.critical_share(idx),
-    ))
 }
 
 fn fmt_dur(d: Duration) -> String {
@@ -423,47 +141,49 @@ fn fmt_dur(d: Duration) -> String {
 /// Render the diagnosis as the human-readable advisor report sections
 /// (load balance table, then exposed communication per sync).
 pub fn render_diagnosis(diag: &Diagnosis) -> String {
+    let r = &diag.rollup;
     let mut out = String::new();
     out.push_str(&format!(
         "load balance ({} ranks, transport {}, wall {})\n",
-        diag.ranks,
+        r.ranks(),
         diag.transport,
-        fmt_dur(diag.wall)
+        fmt_dur(r.makespan())
     ));
     out.push_str(&format!(
         "{:<16} {:>10} {:>10} {:>6} {:>9} {:>20} {:>6}\n",
         "phase", "cpu-max", "cpu-mean", "imb", "straggler", "busy p50/p95", "crit%"
     ));
-    for (i, load) in diag.phases.iter().enumerate() {
-        let mean = if diag.ranks == 0 {
+    for (i, p) in r.phases.iter().enumerate() {
+        let mean = if r.ranks() == 0 {
             Duration::ZERO
         } else {
-            load.total_compute() / diag.ranks as u32
+            p.total().compute / r.ranks() as u32
         };
-        let max = load.compute.iter().copied().max().unwrap_or_default();
-        let (p50, p95) = load.busy_percentiles();
+        let max = p.compute().into_iter().max().unwrap_or_default();
+        let (p50, p95) = p.busy_percentiles();
         out.push_str(&format!(
             "{:<16} {:>10} {:>10} {:>6} {:>9} {:>20} {:>6}\n",
-            load.phase,
+            p.name,
             fmt_dur(max),
             fmt_dur(mean),
-            load.imbalance()
+            p.imbalance()
                 .map(|x| format!("{x:.2}"))
                 .unwrap_or_else(|| "-".into()),
-            load.straggler()
-                .map(|r| format!("r{r}"))
+            p.straggler()
+                .map(|rank| format!("r{rank}"))
                 .unwrap_or_else(|| "-".into()),
             format!("{}/{}", fmt_dur(p50), fmt_dur(p95)),
-            format!("{:.1}", diag.critical_share(i)),
+            format!("{:.1}", r.critical_share(i)),
         ));
     }
     out.push_str(&format!(
         "overall: compute imbalance {:.2}{}{}\n",
-        diag.imbalance,
-        diag.straggler
-            .map(|r| format!(", straggler rank {r}"))
+        r.imbalance(),
+        r.straggler()
+            .map(|rank| format!(", straggler rank {rank}"))
             .unwrap_or_default(),
-        diag.exposed_pct
+        r.total()
+            .exposed_pct()
             .map(|p| format!(", {p:.1}% of comm latency exposed"))
             .unwrap_or_default(),
     ));
@@ -471,7 +191,7 @@ pub fn render_diagnosis(diag: &Diagnosis) -> String {
         out.push_str(&format!(
             "critical path: {} phase-estimated, {} edge-measured \
              ({} send→recv edges{})\n",
-            fmt_dur(diag.critical_path()),
+            fmt_dur(r.critical_path()),
             fmt_dur(measured),
             diag.edges_matched,
             if diag.edges_unmatched > 0 {
@@ -482,24 +202,25 @@ pub fn render_diagnosis(diag: &Diagnosis) -> String {
         ));
     }
 
-    let comm: Vec<&PhaseLoad> = diag.phases.iter().filter(|p| p.is_comm()).collect();
+    let comm: Vec<_> = r.phases.iter().filter(|p| p.is_comm()).collect();
     if !comm.is_empty() {
         out.push_str("\nexposed communication (wait attributed to the causing sync)\n");
         out.push_str(&format!(
             "{:<16} {:>10} {:>10} {:>8} {:>10} {:>8}\n",
             "sync", "wait", "overlap", "exposed", "bytes", "msgs"
         ));
-        for load in comm {
+        for p in comm {
+            let t = p.total();
             out.push_str(&format!(
                 "{:<16} {:>10} {:>10} {:>8} {:>10} {:>8}\n",
-                load.phase,
-                fmt_dur(load.total_wait()),
-                fmt_dur(load.total_overlap()),
-                load.exposed_pct()
+                p.name,
+                fmt_dur(t.wait),
+                fmt_dur(t.overlap),
+                t.exposed_pct()
                     .map(|p| format!("{p:.1}%"))
                     .unwrap_or_else(|| "-".into()),
-                load.total_bytes(),
-                load.total_msgs(),
+                t.bytes,
+                t.msgs,
             ));
         }
     }
@@ -550,22 +271,22 @@ mod tests {
 
     #[test]
     fn diagnose_finds_straggler_and_exposure() {
-        let d = diagnose(&skewed_two_rank());
-        assert_eq!(d.ranks, 2);
-        assert_eq!(d.straggler, Some(1));
+        let r = diagnose(&skewed_two_rank()).rollup;
+        assert_eq!(r.ranks(), 2);
+        assert_eq!(r.straggler(), Some(1));
         // max 400µs / mean 250µs
         assert!(
-            (d.imbalance - 1.6).abs() < 1e-9,
+            (r.imbalance() - 1.6).abs() < 1e-9,
             "imbalance {}",
-            d.imbalance
+            r.imbalance()
         );
         // All wait, no overlap: fully exposed.
-        assert_eq!(d.exposed_pct, Some(100.0));
-        let sync = d.phases.iter().find(|p| p.phase == "sync_0").unwrap();
-        assert_eq!(sync.exposed_pct(), Some(100.0));
-        assert_eq!(sync.total_bytes(), 160);
-        assert_eq!(sync.total_msgs(), 2);
-        assert_eq!(d.wall, Duration::from_micros(410));
+        assert_eq!(r.total().exposed_pct(), Some(100.0));
+        let sync = r.phases.iter().find(|p| p.name == "sync_0").unwrap();
+        assert_eq!(sync.total().exposed_pct(), Some(100.0));
+        assert_eq!(sync.total().bytes, 160);
+        assert_eq!(sync.total().msgs, 2);
+        assert_eq!(r.makespan(), Duration::from_micros(410));
     }
 
     #[test]
@@ -574,15 +295,15 @@ mod tests {
         // Rank 0 hides 300µs of the wait behind interior compute.
         m.traces[0].push(ev(EventKind::Overlap, 100, 400, 1, 0));
         let d = diagnose(&m);
-        let sync = d.phases.iter().find(|p| p.phase == "sync_0").unwrap();
-        let exposed = sync.exposed_pct().unwrap();
+        let sync = d.rollup.phases.iter().find(|p| p.name == "sync_0").unwrap();
+        let exposed = sync.total().exposed_pct().unwrap();
         assert!((exposed - 50.0).abs() < 1e-9, "exposed {exposed}");
     }
 
     #[test]
     fn hot_phase_names_the_critical_phase() {
         let d = diagnose(&skewed_two_rank());
-        let (name, busy, share) = hot_phase(&d).unwrap();
+        let (name, busy, share) = d.rollup.hot_phase().unwrap();
         // main: slowest rank busy 400µs; sync_0: 300µs.
         assert_eq!(name, "main");
         assert_eq!(busy, Duration::from_micros(400));
@@ -618,9 +339,9 @@ mod tests {
         let measured = d.critical_path_measured.expect("one edge matched");
         assert_eq!(measured, Duration::from_micros(460));
         assert!(
-            measured < d.critical_path(),
+            measured < d.rollup.critical_path(),
             "edge walk must beat the phase-sum estimate: {measured:?} vs {:?}",
-            d.critical_path()
+            d.rollup.critical_path()
         );
     }
 

@@ -3,7 +3,7 @@
 //! [`autocfd_interp::forecast()`] predicts each communication phase's
 //! per-visit message and payload counts statically from the SPMD plan.
 //! This module compares that prediction against a measured trace's
-//! [`PhaseMetrics`] and reports, phase by phase, where the cost model
+//! [`Rollup`] and reports, phase by phase, where the cost model
 //! stopped predicting reality. The inference mirrors the `acfc stats
 //! --check` gate: visit counts are recovered from the measured message
 //! count (`msgs / events-per-visit`), and on TCP each frame carries a
@@ -11,7 +11,7 @@
 
 use autocfd_cluster_sim::relative_error;
 use autocfd_interp::forecast::PhaseForecast;
-use autocfd_runtime::export::PhaseMetrics;
+use autocfd_runtime::Rollup;
 
 /// One phase's predicted-vs-measured traffic comparison.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,7 +50,8 @@ impl PhaseDivergence {
     }
 }
 
-/// Compare a traffic forecast against measured phase metrics.
+/// Compare a traffic forecast against a measured rollup's per-phase
+/// messages and bytes.
 ///
 /// `frame_header_bytes` is the per-frame wire overhead the transport
 /// adds on top of the payload — `0` for the in-process backend,
@@ -58,15 +59,20 @@ impl PhaseDivergence {
 /// the transport; this crate deliberately does not).
 pub fn divergence(
     forecasts: &[PhaseForecast],
-    metrics: &[PhaseMetrics],
+    measured: &Rollup,
     frame_header_bytes: u64,
 ) -> Vec<PhaseDivergence> {
+    let totals: Vec<_> = measured
+        .phases
+        .iter()
+        .map(|p| (&p.name, p.total()))
+        .collect();
     let mut out = Vec::new();
     for f in forecasts {
-        let (msgs, bytes) = metrics
+        let (msgs, bytes) = totals
             .iter()
-            .find(|m| m.phase == f.phase)
-            .map(|m| (m.msgs, m.bytes))
+            .find(|(name, _)| **name == f.phase)
+            .map(|(_, t)| (t.msgs, t.bytes))
             .unwrap_or((0, 0));
         let per_visit = f.events();
         let (visits, structure_ok) = match msgs.checked_div(per_visit) {
@@ -84,17 +90,17 @@ pub fn divergence(
             bytes_measured: bytes,
         });
     }
-    for m in metrics {
-        if m.msgs > 0 && !forecasts.iter().any(|f| f.phase == m.phase) {
+    for (name, t) in totals {
+        if t.msgs > 0 && !forecasts.iter().any(|f| &f.phase == name) {
             out.push(PhaseDivergence {
-                phase: m.phase.clone(),
+                phase: name.clone(),
                 forecast: false,
                 visits: 0,
                 structure_ok: false,
                 msgs_predicted: 0,
-                msgs_measured: m.msgs,
+                msgs_measured: t.msgs,
                 bytes_predicted: 0,
-                bytes_measured: m.bytes,
+                bytes_measured: t.bytes,
             });
         }
     }
@@ -138,27 +144,25 @@ pub fn render_divergence(divs: &[PhaseDivergence], tolerance: f64) -> String {
 mod tests {
     use super::*;
     use autocfd_interp::forecast::RankTraffic;
-    use autocfd_runtime::export::{percentiles, Percentiles};
+    use autocfd_runtime::{EventKind, TraceEvent};
     use std::time::Duration;
 
-    fn zero_pct() -> Percentiles {
-        percentiles(&mut [])
-    }
-
-    fn metric(phase: &str, msgs: u64, bytes: u64) -> PhaseMetrics {
-        PhaseMetrics {
-            phase: phase.into(),
-            events: msgs as usize,
-            msgs,
-            bytes,
-            compute: Duration::ZERO,
-            comm: Duration::ZERO,
-            wait: Duration::ZERO,
-            overlap: Duration::ZERO,
-            compute_hist: zero_pct(),
-            wait_hist: zero_pct(),
-            compute_per_rank: Vec::new(),
-        }
+    /// A one-rank rollup whose `phase` moved `msgs` messages carrying
+    /// `bytes` wire bytes in total (all on the first).
+    fn metric(phase: &str, msgs: u64, bytes: u64) -> Rollup {
+        let trace = (0..msgs)
+            .map(|i| TraceEvent {
+                kind: EventKind::Send,
+                start: Duration::ZERO,
+                end: Duration::ZERO,
+                peer: Some(1),
+                elems: 0,
+                bytes: if i == 0 { bytes as usize } else { 0 },
+                phase: 0,
+                seq: None,
+            })
+            .collect();
+        Rollup::new(&[trace], &[vec![phase.to_string()]])
     }
 
     fn fc(phase: &str, frames_out: u64, payload_out: u64) -> PhaseForecast {
@@ -188,7 +192,7 @@ mod tests {
         let f = fc("sync_0", 1, 80);
         // 4 events/visit, both-sides payload 320/visit; 8 visits.
         let m = metric("sync_0", 32, 2560);
-        let d = divergence(&[f], &[m], 0);
+        let d = divergence(&[f], &m, 0);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].visits, 8);
         assert!(d[0].structure_ok);
@@ -199,7 +203,7 @@ mod tests {
     fn doctored_bytes_diverge() {
         let f = fc("sync_0", 1, 80);
         let m = metric("sync_0", 32, 5120); // bytes doubled
-        let d = divergence(&[f], &[m], 0);
+        let d = divergence(&[f], &m, 0);
         assert!(!d[0].ok(0.05));
         assert!(d[0].error() > 0.9, "error {}", d[0].error());
     }
@@ -209,14 +213,14 @@ mod tests {
         let f = fc("sync_0", 1, 80);
         // 4 frames/visit, 9-byte header each: 320 + 36 per visit.
         let m = metric("sync_0", 4, 356);
-        let d = divergence(&[f], &[m], 9);
+        let d = divergence(&[f], &m, 9);
         assert!(d[0].ok(0.0), "error {}", d[0].error());
     }
 
     #[test]
     fn unforecast_phase_is_flagged() {
         let m = metric("mystery", 4, 100);
-        let d = divergence(&[], &[m], 0);
+        let d = divergence(&[], &m, 0);
         assert_eq!(d.len(), 1);
         assert!(!d[0].forecast);
         assert!(!d[0].ok(1.0));

@@ -7,7 +7,8 @@
 //! it. This crate closes the loop, following the mining approach of
 //! "Automatic Performance Debugging of SPMD Parallel Programs":
 //!
-//! 1. [`diagnose()`] aggregates a merged trace into per-phase, per-rank
+//! 1. [`diagnose()`] folds a merged trace into the runtime's
+//!    per-phase, per-rank [`autocfd_runtime::Rollup`] and reads its
 //!    load figures: compute-span skew, straggler identification,
 //!    critical-path attribution, and per-sync exposed-communication
 //!    percentages (the share of comm latency *not* hidden by overlap).
@@ -33,7 +34,7 @@ pub mod gate;
 pub mod search;
 
 pub use advice::{Advice, ADVICE_SCHEMA_VERSION};
-pub use diagnose::{diagnose, hot_phase, render_diagnosis, Diagnosis, PhaseLoad};
+pub use diagnose::{diagnose, render_diagnosis, Diagnosis};
 pub use divergence::{divergence, render_divergence, PhaseDivergence};
 pub use gate::{gate, parse_trajectory, render_gate, GateConfig, Regression, TrajectoryRow};
 pub use search::{render_recommendation, search, Candidate, Recommendation, SearchConfig};

@@ -171,7 +171,7 @@ fn evaluate(
 /// Search candidate partitions for a measured run.
 ///
 /// `shape` is the case's grid, `current` the partition the trace was
-/// collected on; `diag.ranks` must equal `current.tasks()`. Returns
+/// collected on; `diag`'s rank count must equal `current.tasks()`. Returns
 /// the current partition priced as measured plus every fitting
 /// factorization ranked by predicted wall time.
 pub fn search(
@@ -184,10 +184,11 @@ pub fn search(
     if n == 0 {
         return Err("current partition has zero tasks".into());
     }
-    if diag.ranks != n as usize {
+    let measured = &diag.rollup;
+    if measured.ranks() != n as usize {
         return Err(format!(
             "journal has {} ranks but partition {} has {} tasks",
-            diag.ranks,
+            measured.ranks(),
             current.display(),
             n
         ));
@@ -212,27 +213,24 @@ pub fn search(
 
     // Per-sync measured aggregates, skipping pure-barrier phases
     // (checkpoint syncs move no payload worth scaling).
-    let syncs: Vec<SyncMeasure> = diag
+    let syncs: Vec<SyncMeasure> = measured
         .phases
         .iter()
-        .filter(|p| p.total_msgs() > 0)
+        .filter(|p| p.total().msgs > 0)
         .map(|p| {
-            let reduce = p.phase.starts_with("reduce_");
+            let reduce = p.name.starts_with("reduce_");
+            let msgs_max = p.ranks.iter().map(|c| c.msgs).max().unwrap_or(0);
             SyncMeasure {
-                bytes: p.total_bytes(),
-                sends_max: p.msgs.iter().map(|&m| m.div_ceil(2)).max().unwrap_or(0),
-                reduce_visits: if reduce {
-                    p.msgs.iter().copied().max().unwrap_or(0)
-                } else {
-                    0
-                },
+                bytes: p.total().bytes,
+                sends_max: msgs_max.div_ceil(2),
+                reduce_visits: if reduce { msgs_max } else { 0 },
             }
         })
         .collect();
 
     // Ideal-balance calibration: per-point cost from the run's TOTAL
     // compute, so candidates are priced as if work were spread evenly.
-    let total_compute = diag.total_compute().as_secs_f64();
+    let total_compute = measured.total().compute.as_secs_f64();
     let mean_pts = shape.points() / u64::from(n).max(1);
     let loc_mean = cfg.machine.locality_factor(mean_pts * 8 * cfg.arrays);
     let k_ideal = if shape.points() == 0 {
@@ -242,8 +240,8 @@ pub fn search(
     };
     // As-measured calibration: per-point cost from the SLOWEST rank,
     // so the current entry carries the observed skew.
-    let max_rank_compute = diag
-        .compute_per_rank
+    let max_rank_compute = measured
+        .compute_per_rank()
         .iter()
         .map(|d| d.as_secs_f64())
         .fold(0.0, f64::max);

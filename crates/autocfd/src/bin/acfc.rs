@@ -160,7 +160,7 @@ use autocfd::compile_service::{
 use autocfd::interp::{verify_owned_regions, CheckpointOpts};
 use autocfd::obs;
 use autocfd::runtime::checkpoint::{self, RunManifest};
-use autocfd::runtime::journal;
+use autocfd::runtime::{journal, Rollup};
 use autocfd::runtime_net::Rendezvous;
 use autocfd::{compile, Compiled, Error};
 use serde::json::Value;
@@ -1212,13 +1212,14 @@ fn run_remote(args: &Args, source: &str, addr: &str) -> ExitCode {
         eprintln!("acfc: cannot write trace.json: {e}");
         return ExitCode::FAILURE;
     }
-    eprint!("{}", obs::render_report(&merged));
+    let rollup = Rollup::of(&merged);
+    eprint!("{}", obs::render_report(&merged, &rollup));
     eprintln!(
         "acfc: trace written to {} (open trace.json in ui.perfetto.dev)",
         dir.display()
     );
     if args.check {
-        let failures = check_failures(&merged, None, args.min_coverage);
+        let failures = check_failures(&merged, &rollup, None, args.min_coverage);
         if !failures.is_empty() {
             return check_exit(&failures);
         }
@@ -1232,6 +1233,7 @@ fn run_remote(args: &Args, source: &str, addr: &str) -> ExitCode {
 /// available) the predicted-vs-measured verdicts. Returns the failures.
 fn check_failures(
     merged: &autocfd::runtime::MergedTrace,
+    rollup: &Rollup,
     checks: Option<&[obs::PhaseCheck]>,
     min_coverage: f64,
 ) -> Vec<String> {
@@ -1242,12 +1244,12 @@ fn check_failures(
     if !merged.phase_names.iter().any(|p| p.len() > 1) {
         failures.push("no communication phases recorded".into());
     }
-    for b in autocfd::runtime::rank_breakdown(&merged.traces) {
-        if b.coverage() < min_coverage {
+    for rank in 0..rollup.ranks() {
+        let coverage = rollup.coverage(rank);
+        if coverage < min_coverage {
             failures.push(format!(
-                "rank {} trace covers {:.1}% of wall time (< {:.1}%)",
-                b.rank,
-                b.coverage() * 100.0,
+                "rank {rank} trace covers {:.1}% of wall time (< {:.1}%)",
+                coverage * 100.0,
                 min_coverage * 100.0
             ));
         }
@@ -1291,7 +1293,8 @@ fn run_stats(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    eprint!("{}", obs::render_report(&merged));
+    let rollup = Rollup::of(&merged);
+    eprint!("{}", obs::render_report(&merged, &rollup));
     if let Some(w) = obs::skipped_warning(&merged) {
         eprintln!("acfc: {w}");
     }
@@ -1321,7 +1324,7 @@ fn run_stats(args: &Args) -> ExitCode {
                 return exit_with(&Error::Compile(e));
             }
         };
-        match obs::cross_validate(&compiled, &merged, args.tolerance) {
+        match obs::cross_validate(&compiled, &rollup, &merged.transport, args.tolerance) {
             Ok(c) => {
                 eprint!("{}", obs::render_cross_validation(&c));
                 checks = Some(c);
@@ -1333,7 +1336,7 @@ fn run_stats(args: &Args) -> ExitCode {
         }
     }
     if args.check {
-        let mut failures = check_failures(&merged, checks.as_deref(), args.min_coverage);
+        let mut failures = check_failures(&merged, &rollup, checks.as_deref(), args.min_coverage);
         failures.extend(obs::telemetry_failures(
             &telemetry,
             TELEMETRY_DROP_THRESHOLD,
@@ -1434,11 +1437,11 @@ fn run_advise(args: &Args) -> ExitCode {
                 return exit_with(&Error::Compile(e));
             }
         };
-        if compiled.spmd_plan.ranks() as usize != advice.diagnosis.ranks {
+        if compiled.spmd_plan.ranks() as usize != advice.diagnosis.rollup.ranks() {
             let e = Error::Validation(format!(
                 "journal has {} ranks but `{src_path}` compiles to {} (pass the partition the \
                  trace ran on)",
-                advice.diagnosis.ranks,
+                advice.diagnosis.rollup.ranks(),
                 compiled.spmd_plan.ranks()
             ));
             eprintln!("acfc: {e}");
@@ -1451,10 +1454,9 @@ fn run_advise(args: &Args) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let metrics = autocfd::runtime::phase_metrics(&merged);
         advice.divergence = Some(advisor::divergence(
             &fc,
-            &metrics,
+            &advice.diagnosis.rollup,
             obs::frame_header_bytes(&merged.transport),
         ));
         match advisor::search(
@@ -1594,7 +1596,7 @@ fn render_top_dir(dir: &Path) -> (String, Vec<String>) {
     );
     out.push_str(&format!(
         "{:>4}  {:<12}  {:>9}  {:>7}  {:>7}  {:>5}  {:>4}  {:>3}  {:>5}  {}\n",
-        "rank", "phase", "busy", "imbal", "expos", "ckpt", "lag", "q", "drop", "last frame"
+        "rank", "phase", "busy", "imbal", "wait%", "ckpt", "lag", "q", "drop", "last frame"
     ));
     for r in &rows {
         let busy = r.latest.busy_us();
@@ -1603,9 +1605,9 @@ fn render_top_dir(dir: &Path) -> (String, Vec<String>) {
         } else {
             "-".into()
         };
-        let exposed = r
+        let wait_share = r
             .latest
-            .exposed_pct()
+            .wait_share()
             .map(|p| format!("{:.1}%", p * 100.0))
             .unwrap_or_else(|| "-".into());
         let liveness = match r.age {
@@ -1619,7 +1621,7 @@ fn render_top_dir(dir: &Path) -> (String, Vec<String>) {
             r.latest.phase,
             busy / 1_000,
             imbal,
-            exposed,
+            wait_share,
             r.latest.checkpoint_epoch,
             max_epoch - r.latest.checkpoint_epoch,
             r.latest.queue_depth,
@@ -1770,8 +1772,9 @@ fn run_trace(args: &Args, compiled: &Compiled) -> ExitCode {
         eprintln!("acfc: cannot write trace.json: {e}");
         return ExitCode::FAILURE;
     }
-    eprint!("{}", obs::render_report(&merged));
-    let checks = match obs::cross_validate(compiled, &merged, args.tolerance) {
+    let rollup = Rollup::of(&merged);
+    eprint!("{}", obs::render_report(&merged, &rollup));
+    let checks = match obs::cross_validate(compiled, &rollup, &merged.transport, args.tolerance) {
         Ok(c) => {
             eprint!("{}", obs::render_cross_validation(&c));
             Some(c)
@@ -1790,7 +1793,7 @@ fn run_trace(args: &Args, compiled: &Compiled) -> ExitCode {
         return exit_with(&e);
     }
     if args.check {
-        let failures = check_failures(&merged, checks.as_deref(), args.min_coverage);
+        let failures = check_failures(&merged, &rollup, checks.as_deref(), args.min_coverage);
         if !failures.is_empty() {
             return check_exit(&failures);
         }
@@ -1996,10 +1999,14 @@ fn main() -> ExitCode {
             let traces: Vec<_> = runs.iter().map(|r| r.trace.clone()).collect();
             eprint!("{}", autocfd::runtime::render_timeline(&traces, 72));
             let phases: Vec<_> = runs.iter().map(|r| r.phases.clone()).collect();
-            eprint!("{}", autocfd::runtime::render_wire_table(&traces, &phases));
-            for (r, run) in runs.iter().enumerate() {
-                let (n, wait, elems) = autocfd::runtime::summarize(&run.trace);
-                eprintln!("rank {r}: {n} comm events, {wait:?} blocked, {elems} f64s moved");
+            let rollup = Rollup::new(&traces, &phases);
+            eprint!("{}", autocfd::runtime::render_wire_table(&rollup));
+            for r in 0..rollup.ranks() {
+                let t = rollup.rank(r);
+                eprintln!(
+                    "rank {r}: {} msgs, {:?} blocked, {} B moved",
+                    t.msgs, t.wait, t.bytes
+                );
             }
         }
         let mut failed = None;

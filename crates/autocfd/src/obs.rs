@@ -18,8 +18,7 @@ use autocfd_interp::RankRun;
 use autocfd_runtime::journal::{self, JournalHeader, MergedTrace, SCHEMA_VERSION};
 use autocfd_runtime::telemetry::{read_spool, StatFrame};
 use autocfd_runtime::{
-    phase_metrics, rank_breakdown, render_phase_metrics, render_rank_breakdown, render_timeline,
-    render_wire_table, PhaseMetrics,
+    render_phase_metrics, render_rank_breakdown, render_timeline, render_wire_table, Rollup,
 };
 use autocfd_runtime_net::frame::HEADER_LEN;
 use std::path::{Path, PathBuf};
@@ -102,15 +101,15 @@ pub fn load_merged_aligned(dir: &Path) -> Result<MergedTrace, String> {
 /// Render the full trace report: timeline, wire table, per-phase
 /// metrics, per-rank wall-time breakdown, and — when the run used
 /// compute/communication overlap — the fraction of communication
-/// latency hidden behind interior computation.
-pub fn render_report(merged: &MergedTrace) -> String {
-    let metrics = phase_metrics(merged);
+/// latency hidden behind interior computation. `rollup` is
+/// [`Rollup::of`] `merged`.
+pub fn render_report(merged: &MergedTrace, rollup: &Rollup) -> String {
     let mut out = String::new();
     out.push_str(&render_timeline(&merged.traces, 72));
-    out.push_str(&render_wire_table(&merged.traces, &merged.phase_names));
-    out.push_str(&render_phase_metrics(&metrics));
-    out.push_str(&render_rank_breakdown(&rank_breakdown(&merged.traces)));
-    if let Some(line) = render_comm_hidden(&metrics) {
+    out.push_str(&render_wire_table(rollup));
+    out.push_str(&render_phase_metrics(rollup));
+    out.push_str(&render_rank_breakdown(rollup));
+    if let Some(line) = render_comm_hidden(rollup) {
         out.push_str(&line);
     }
     out
@@ -119,25 +118,23 @@ pub fn render_report(merged: &MergedTrace) -> String {
 /// The fraction of communication latency hidden by overlap, over all
 /// phases: `overlap / (overlap + wait)`. `None` when the trace has no
 /// overlap spans (blocking run — nothing was hidden).
-pub fn comm_hidden(metrics: &[PhaseMetrics]) -> Option<f64> {
-    let overlap: Duration = metrics.iter().map(|m| m.overlap).sum();
-    if overlap.is_zero() {
+pub fn comm_hidden(rollup: &Rollup) -> Option<f64> {
+    let t = rollup.total();
+    if t.overlap.is_zero() {
         return None;
     }
-    let wait: Duration = metrics.iter().map(|m| m.wait).sum();
-    Some(overlap.as_secs_f64() / (overlap + wait).as_secs_f64())
+    Some(t.overlap.as_secs_f64() / (t.overlap + t.wait).as_secs_f64())
 }
 
 /// Render the "% of comm hidden" summary line, when overlap spans exist.
-pub fn render_comm_hidden(metrics: &[PhaseMetrics]) -> Option<String> {
-    let hidden = comm_hidden(metrics)?;
-    let overlap: Duration = metrics.iter().map(|m| m.overlap).sum();
-    let wait: Duration = metrics.iter().map(|m| m.wait).sum();
+pub fn render_comm_hidden(rollup: &Rollup) -> Option<String> {
+    let hidden = comm_hidden(rollup)?;
+    let t = rollup.total();
     Some(format!(
         "comm hidden by overlap: {:.1}% ({:.2}ms interior compute during exchange vs {:.2}ms blocked)\n",
         hidden * 100.0,
-        overlap.as_secs_f64() * 1e3,
-        wait.as_secs_f64() * 1e3,
+        t.overlap.as_secs_f64() * 1e3,
+        t.wait.as_secs_f64() * 1e3,
     ))
 }
 
@@ -203,22 +200,22 @@ pub fn frame_header_bytes(transport: &str) -> u64 {
 }
 
 /// Cross-validate the traffic forecast (and, informationally, the
-/// cluster cost model) against a measured merged trace. `tolerance` is
-/// the maximum relative error accepted on wire bytes. Also flags phases
-/// the trace measured but the forecast never predicted. The divergence
-/// math itself lives in [`autocfd_advisor::divergence()`]; this wrapper
-/// adds the forecast, the cost-model seconds, and the `--check`
-/// verdict shape.
+/// cluster cost model) against a measured run's rollup, recorded over
+/// `transport`. `tolerance` is the maximum relative error accepted on
+/// wire bytes. Also flags phases the trace measured but the forecast
+/// never predicted. The divergence math itself lives in
+/// [`autocfd_advisor::divergence()`]; this wrapper adds the forecast,
+/// the cost-model seconds, and the `--check` verdict shape.
 pub fn cross_validate(
     compiled: &Compiled,
-    merged: &MergedTrace,
+    rollup: &Rollup,
+    transport: &str,
     tolerance: f64,
 ) -> Result<Vec<PhaseCheck>, String> {
     let fc = forecast(&compiled.parallel_file, &compiled.spmd_plan).map_err(|e| e.to_string())?;
-    let metrics = phase_metrics(merged);
     let net = NetworkModel::ethernet_10mbit();
-    let framing = frame_header_bytes(&merged.transport);
-    let checks = autocfd_advisor::divergence(&fc, &metrics, framing)
+    let framing = frame_header_bytes(transport);
+    let checks = autocfd_advisor::divergence(&fc, rollup, framing)
         .into_iter()
         .map(|d| {
             let f = fc.iter().find(|f| f.phase == d.phase);
@@ -236,10 +233,14 @@ pub fn cross_validate(
                 model_seconds: f
                     .map(|f| model_phase_seconds(&net, f, d.visits))
                     .unwrap_or(0.0),
-                measured_seconds: metrics
+                measured_seconds: rollup
+                    .phases
                     .iter()
-                    .find(|m| m.phase == d.phase)
-                    .map(|m| (m.comm + m.wait).as_secs_f64())
+                    .find(|p| p.name == d.phase)
+                    .map(|p| {
+                        let t = p.total();
+                        (t.comm + t.wait).as_secs_f64()
+                    })
                     .unwrap_or(0.0),
                 phase: d.phase,
             }
@@ -488,7 +489,7 @@ mod tests {
         }
         let merged = load_merged(&dir).unwrap();
         assert!(merged.complete);
-        let checks = cross_validate(&c, &merged, 0.0).unwrap();
+        let checks = cross_validate(&c, &Rollup::of(&merged), "inproc", 0.0).unwrap();
         assert!(!checks.is_empty());
         for ch in &checks {
             assert!(ch.ok(), "{}: {ch:?}", ch.phase);
@@ -536,15 +537,15 @@ mod tests {
             write_rank_run(&dir, "inproc", rank, runs.len(), run).unwrap();
         }
         let merged = load_merged(&dir).unwrap();
-        let metrics = phase_metrics(&merged);
+        let rollup = Rollup::of(&merged);
         assert!(
-            comm_hidden(&metrics).is_some(),
-            "overlap spans must be recorded: {metrics:?}"
+            comm_hidden(&rollup).is_some(),
+            "overlap spans must be recorded: {rollup:?}"
         );
-        for ch in cross_validate(&c, &merged, 0.0).unwrap() {
+        for ch in cross_validate(&c, &rollup, "inproc", 0.0).unwrap() {
             assert!(ch.ok(), "{}: {ch:?}", ch.phase);
         }
-        let report = render_report(&merged);
+        let report = render_report(&merged, &rollup);
         assert!(report.contains("comm hidden by overlap"), "{report}");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -637,7 +638,7 @@ mod tests {
             write_rank_run(&dir, "inproc", rank, runs.len(), run).unwrap();
         }
         let merged = load_merged(&dir).unwrap();
-        let report = render_report(&merged);
+        let report = render_report(&merged, &Rollup::of(&merged));
         assert!(report.contains("rank 0 |"), "timeline present:\n{report}");
         assert!(report.contains("covered"), "breakdown present:\n{report}");
         assert!(report.contains("compute"), "metrics present:\n{report}");

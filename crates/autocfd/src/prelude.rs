@@ -40,4 +40,4 @@ pub use autocfd_interp::{
 pub use autocfd_runtime::checkpoint::{
     latest_consistent_epoch, load_epoch, load_manifest, write_manifest, RunManifest, Snapshot,
 };
-pub use autocfd_runtime::{CommError, MergedTrace, PhaseMetrics};
+pub use autocfd_runtime::{CommError, MergedTrace, Rollup};

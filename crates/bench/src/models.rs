@@ -316,21 +316,17 @@ mod tests {
     /// partition sweep.
     #[test]
     fn forecast_reproduces_traced_traffic_on_paper_partitions() {
-        use autocfd::runtime::MergedTrace;
+        use autocfd::runtime::Rollup;
         use autocfd_cfd_kernels::{sprayer_program, CaseParams};
         let src = sprayer_program(&CaseParams::sprayer_small());
         for parts in [[2u32, 1], [3, 1], [2, 2]] {
             let c =
                 autocfd::compile(&src, &autocfd::CompileOptions::with_partition(&parts)).unwrap();
             let runs = c.run_parallel_traced(vec![]);
-            let merged = MergedTrace {
-                traces: runs.iter().map(|r| r.trace.clone()).collect(),
-                phase_names: runs.iter().map(|r| r.phases.clone()).collect(),
-                transport: "inproc".into(),
-                complete: true,
-                skipped: 0,
-            };
-            let checks = autocfd::obs::cross_validate(&c, &merged, 0.0).unwrap();
+            let traces: Vec<_> = runs.iter().map(|r| r.trace.clone()).collect();
+            let phases: Vec<_> = runs.iter().map(|r| r.phases.clone()).collect();
+            let rollup = Rollup::new(&traces, &phases);
+            let checks = autocfd::obs::cross_validate(&c, &rollup, "inproc", 0.0).unwrap();
             assert!(!checks.is_empty(), "{parts:?}: nothing to validate");
             for chk in &checks {
                 assert!(

@@ -21,11 +21,11 @@ use crate::cache::{CacheEntry, PlanCache};
 use crate::proto::{
     err_response, ok_response, CompileReq, ErrorClass, Request, RunReq, ServiceError, StreamItem,
 };
-use autocfd_advisor as advisor;
 use autocfd_codegen::PlanKey;
 use autocfd_runtime::export::percentiles;
-use autocfd_runtime::journal::{self, JournalHeader, MergedTrace};
+use autocfd_runtime::journal::{self, JournalHeader};
 use autocfd_runtime::trace::{EventKind, TraceEvent};
+use autocfd_runtime::Rollup;
 use autocfd_runtime_net::frame::{encode, read_frame, Frame, FrameKind};
 use serde::json::Value;
 use std::collections::HashMap;
@@ -228,26 +228,12 @@ impl State {
         let ms = |d: Duration| Value::Float(d.as_secs_f64() * 1e3);
         // The advisor's one-line verdict over the service's own request
         // trace: which request class dominates the service's busy time.
-        let verdict = self
-            .request_events
-            .lock()
-            .ok()
-            .filter(|evs| !evs.is_empty())
-            .map(|evs| {
-                let merged = MergedTrace {
-                    traces: vec![evs.clone()],
-                    phase_names: vec![PHASES.iter().map(|p| p.to_string()).collect()],
-                    transport: "service".into(),
-                    complete: true,
-                    skipped: 0,
-                };
-                advisor::diagnose(&merged)
-            })
-            .as_ref()
-            .and_then(|diag| {
-                advisor::hot_phase(diag)
-                    .map(|(name, busy, share)| (name.to_string(), busy.as_secs_f64() * 1e3, share))
-            });
+        let verdict = self.request_events.lock().ok().and_then(|evs| {
+            let names = PHASES.iter().map(|p| p.to_string()).collect();
+            Rollup::new(std::slice::from_ref(&*evs), &[names])
+                .hot_phase()
+                .map(|(name, busy, share)| (name.to_string(), busy.as_secs_f64() * 1e3, share))
+        });
         let (hot, hot_ms, hot_share) = match verdict {
             Some((name, busy_ms, share)) => {
                 (Value::Str(name), Value::Float(busy_ms), Value::Float(share))

@@ -223,21 +223,18 @@ impl Comm {
             seq,
         });
         if let Some(sink) = self.telemetry() {
-            let span = end.saturating_sub(start);
-            match kind {
-                EventKind::Send => {
-                    sink.add_comm(span);
-                    if let Some(p) = peer {
-                        sink.add_send(p, bytes);
-                    }
-                }
-                EventKind::Reduce => sink.add_comm(span),
-                EventKind::Recv | EventKind::Barrier => sink.add_wait(span),
-                EventKind::Compute => sink.add_compute(span),
-                EventKind::Overlap => sink.add_overlap(span),
-            }
+            sink.add(kind, end.saturating_sub(start));
         }
         self.maybe_publish_telemetry();
+    }
+
+    /// [`Comm::record`] for a send to `to`, also counted in the
+    /// telemetry's per-peer traffic.
+    fn record_send(&self, start: Instant, to: usize, elems: usize, bytes: usize, seq: u64) {
+        if let Some(sink) = self.telemetry() {
+            sink.add_send(to, bytes);
+        }
+        self.record(EventKind::Send, start, Some(to), elems, bytes, Some(seq));
     }
 
     /// The instant trace timestamps are measured from.
@@ -257,14 +254,7 @@ impl Comm {
     pub fn send(&self, to: usize, tag: u64, payload: &[f64]) -> Result<(), CommError> {
         let t0 = Instant::now();
         let (bytes, seq) = self.send_raw(to, tag, payload)?;
-        self.record(
-            EventKind::Send,
-            t0,
-            Some(to),
-            payload.len(),
-            bytes,
-            Some(seq),
-        );
+        self.record_send(t0, to, payload.len(), bytes, seq);
         Ok(())
     }
 
@@ -324,14 +314,7 @@ impl Comm {
             .transport
             .isend(to, tag, payload)
             .map_err(|e| self.ctx(e))?;
-        self.record(
-            EventKind::Send,
-            t0,
-            Some(to),
-            payload.len(),
-            req.wire_bytes,
-            Some(req.seq),
-        );
+        self.record_send(t0, to, payload.len(), req.wire_bytes, req.seq);
         Ok(req)
     }
 
@@ -551,11 +534,7 @@ impl Recorder for Comm {
             seq: None,
         });
         if let Some(sink) = self.telemetry() {
-            let span = end.saturating_duration_since(start);
-            match kind {
-                EventKind::Overlap => sink.add_overlap(span),
-                _ => sink.add_compute(span),
-            }
+            sink.add(kind, end.saturating_duration_since(start));
         }
         self.maybe_publish_telemetry();
     }

@@ -1,19 +1,20 @@
-//! Trace exporters and aggregate metrics.
+//! Trace exporters and the rollup's text tables.
 //!
-//! Consumes a [`MergedTrace`] (or raw
-//! per-rank traces) and produces:
+//! * [`chrome_trace`] renders a [`MergedTrace`] as Chrome trace-event
+//!   JSON with one track per rank, openable in Perfetto
+//!   (`ui.perfetto.dev`) or `chrome://tracing`;
+//! * [`render_phase_metrics`] renders a [`Rollup`] per phase: counters,
+//!   the compute-vs-comm-vs-wait breakdown per synchronization region,
+//!   and wait/compute span histograms (p50 / p95 / max);
+//! * [`render_rank_breakdown`] renders how much of each rank's wall time
+//!   the trace accounts for, the coverage the CI smoke test asserts on.
 //!
-//! * [`chrome_trace`] — Chrome trace-event JSON with one track per rank,
-//!   openable in Perfetto (`ui.perfetto.dev`) or `chrome://tracing`;
-//! * [`phase_metrics`] / [`render_phase_metrics`] — per-phase counters
-//!   and wait/compute histograms (p50 / p95 / max), the
-//!   compute-vs-comm-vs-wait breakdown per synchronization region;
-//! * [`rank_breakdown`] / [`render_rank_breakdown`] — how much of each
-//!   rank's wall time the trace accounts for, the coverage check the CI
-//!   smoke test asserts on.
+//! The numbers themselves come from [`crate::rollup`]; this module only
+//! formats them.
 
 use crate::journal::MergedTrace;
-use crate::trace::{EventKind, TraceEvent};
+use crate::rollup::Rollup;
+use crate::trace::EventKind;
 use serde::json::Value;
 use std::time::Duration;
 
@@ -137,126 +138,6 @@ pub fn percentiles(samples: &mut [Duration]) -> Percentiles {
     }
 }
 
-/// Aggregated activity of one program phase across all ranks.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhaseMetrics {
-    /// Phase name.
-    pub phase: String,
-    /// Traced events in this phase (all kinds, all ranks).
-    pub events: usize,
-    /// Point-to-point + reduce messages.
-    pub msgs: u64,
-    /// Wire bytes moved.
-    pub bytes: u64,
-    /// Total compute-span time across ranks.
-    pub compute: Duration,
-    /// Total send/reduce busy time across ranks (communication proper).
-    pub comm: Duration,
-    /// Total blocked time (receive + barrier waits) across ranks.
-    pub wait: Duration,
-    /// Total overlapped-compute time across ranks: interior work done
-    /// while halo exchanges were in flight (communication latency
-    /// hidden behind computation).
-    pub overlap: Duration,
-    /// Distribution of individual compute spans.
-    pub compute_hist: Percentiles,
-    /// Distribution of individual wait spans.
-    pub wait_hist: Percentiles,
-    /// Compute-span time per rank (index = rank), the raw skew the
-    /// advisor reasons about.
-    pub compute_per_rank: Vec<Duration>,
-}
-
-impl PhaseMetrics {
-    /// Per-rank compute skew: max over mean of [`Self::compute_per_rank`].
-    /// `None` when the phase has no compute.
-    pub fn imbalance(&self) -> Option<f64> {
-        let total: Duration = self.compute_per_rank.iter().sum();
-        if total.is_zero() || self.compute_per_rank.is_empty() {
-            return None;
-        }
-        let mean = total.as_secs_f64() / self.compute_per_rank.len() as f64;
-        let max = self
-            .compute_per_rank
-            .iter()
-            .map(Duration::as_secs_f64)
-            .fold(0.0, f64::max);
-        Some(max / mean)
-    }
-}
-
-/// Aggregate a merged trace into per-phase metrics, in first-appearance
-/// order across ranks.
-pub fn phase_metrics(merged: &MergedTrace) -> Vec<PhaseMetrics> {
-    let mut order: Vec<String> = Vec::new();
-    for (trace, names) in merged.traces.iter().zip(&merged.phase_names) {
-        for e in trace {
-            if let Some(name) = names.get(e.phase as usize) {
-                if !order.contains(name) {
-                    order.push(name.clone());
-                }
-            }
-        }
-    }
-    let mut out = Vec::with_capacity(order.len());
-    for phase in &order {
-        let mut m = PhaseMetrics {
-            phase: phase.clone(),
-            events: 0,
-            msgs: 0,
-            bytes: 0,
-            compute: Duration::ZERO,
-            comm: Duration::ZERO,
-            wait: Duration::ZERO,
-            overlap: Duration::ZERO,
-            compute_hist: Percentiles::default(),
-            wait_hist: Percentiles::default(),
-            compute_per_rank: vec![Duration::ZERO; merged.traces.len()],
-        };
-        let mut compute_samples = Vec::new();
-        let mut wait_samples = Vec::new();
-        for (rank, (trace, names)) in merged.traces.iter().zip(&merged.phase_names).enumerate() {
-            for e in trace {
-                if names.get(e.phase as usize) != Some(phase) {
-                    continue;
-                }
-                m.events += 1;
-                m.bytes += e.bytes as u64;
-                match e.kind {
-                    EventKind::Compute => {
-                        m.compute += e.span();
-                        m.compute_per_rank[rank] += e.span();
-                        compute_samples.push(e.span());
-                    }
-                    EventKind::Overlap => {
-                        m.compute += e.span();
-                        m.overlap += e.span();
-                        m.compute_per_rank[rank] += e.span();
-                        compute_samples.push(e.span());
-                    }
-                    EventKind::Send | EventKind::Reduce => {
-                        m.msgs += 1;
-                        m.comm += e.span();
-                    }
-                    EventKind::Recv => {
-                        m.msgs += 1;
-                        m.wait += e.wait();
-                        wait_samples.push(e.wait());
-                    }
-                    EventKind::Barrier => {
-                        m.wait += e.wait();
-                        wait_samples.push(e.wait());
-                    }
-                }
-            }
-        }
-        m.compute_hist = percentiles(&mut compute_samples);
-        m.wait_hist = percentiles(&mut wait_samples);
-        out.push(m);
-    }
-    out
-}
-
 fn dur(d: Duration) -> String {
     let us = d.as_nanos() as f64 / 1000.0;
     if us >= 1_000_000.0 {
@@ -268,11 +149,18 @@ fn dur(d: Duration) -> String {
     }
 }
 
-/// Render per-phase metrics as a text table (one row per phase).
-pub fn render_phase_metrics(metrics: &[PhaseMetrics]) -> String {
-    let name_w = metrics
+/// Render the rollup's phases as a text table, one row per phase that
+/// recorded any event.
+pub fn render_phase_metrics(rollup: &Rollup) -> String {
+    let rows: Vec<_> = rollup
+        .phases
         .iter()
-        .map(|m| m.phase.len())
+        .map(|p| (p, p.total()))
+        .filter(|(_, t)| t.events > 0)
+        .collect();
+    let name_w = rows
+        .iter()
+        .map(|(p, _)| p.name.len())
         .chain(["phase".len()])
         .max()
         .unwrap_or(5);
@@ -289,105 +177,44 @@ pub fn render_phase_metrics(metrics: &[PhaseMetrics]) -> String {
         "wait p50/p95/max",
         "compute p50/p95/max",
     );
-    for m in metrics {
+    let hist = |h: &Percentiles| format!("{}/{}/{}", dur(h.p50), dur(h.p95), dur(h.max));
+    for (p, t) in rows {
         out.push_str(&format!(
             "{:name_w$}  {:>6}  {:>6}  {:>10}  {:>9}  {:>9}  {:>9}  {:>5}  {:>20}  {:>20}\n",
-            m.phase,
-            m.events,
-            m.msgs,
-            m.bytes,
-            dur(m.compute),
-            dur(m.comm),
-            dur(m.wait),
-            m.imbalance()
+            p.name,
+            t.events,
+            t.msgs,
+            t.bytes,
+            dur(t.compute),
+            dur(t.comm),
+            dur(t.wait),
+            p.imbalance()
                 .map(|x| format!("{x:.2}"))
                 .unwrap_or_else(|| "-".into()),
-            format!(
-                "{}/{}/{}",
-                dur(m.wait_hist.p50),
-                dur(m.wait_hist.p95),
-                dur(m.wait_hist.max)
-            ),
-            format!(
-                "{}/{}/{}",
-                dur(m.compute_hist.p50),
-                dur(m.compute_hist.p95),
-                dur(m.compute_hist.max)
-            ),
+            hist(&p.wait_spans),
+            hist(&p.compute_spans),
         ));
     }
     out
 }
 
-/// One rank's wall-time accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RankBreakdown {
-    /// Rank id (position in the merged trace).
-    pub rank: usize,
-    /// First event start to last event end.
-    pub wall: Duration,
-    /// Total compute-span time.
-    pub compute: Duration,
-    /// Total send/reduce busy time.
-    pub comm: Duration,
-    /// Total blocked (receive + barrier) time.
-    pub wait: Duration,
-}
-
-impl RankBreakdown {
-    /// Fraction of wall time the traced spans account for (0 when the
-    /// trace is empty; spans never overlap on a rank, so ≤ ~1).
-    pub fn coverage(&self) -> f64 {
-        if self.wall.is_zero() {
-            return 0.0;
-        }
-        (self.compute + self.comm + self.wait).as_secs_f64() / self.wall.as_secs_f64()
-    }
-}
-
-/// Per-rank compute/comm/wait totals against the rank's traced wall
-/// time (first event start → last event end).
-pub fn rank_breakdown(traces: &[Vec<TraceEvent>]) -> Vec<RankBreakdown> {
-    traces
-        .iter()
-        .enumerate()
-        .map(|(rank, trace)| {
-            let first = trace.iter().map(|e| e.start).min().unwrap_or_default();
-            let last = trace.iter().map(|e| e.end).max().unwrap_or_default();
-            let mut b = RankBreakdown {
-                rank,
-                wall: last.saturating_sub(first),
-                compute: Duration::ZERO,
-                comm: Duration::ZERO,
-                wait: Duration::ZERO,
-            };
-            for e in trace {
-                match e.kind {
-                    EventKind::Compute | EventKind::Overlap => b.compute += e.span(),
-                    EventKind::Send | EventKind::Reduce => b.comm += e.span(),
-                    EventKind::Recv | EventKind::Barrier => b.wait += e.wait(),
-                }
-            }
-            b
-        })
-        .collect()
-}
-
-/// Render the per-rank breakdown as a text table with a coverage column.
-pub fn render_rank_breakdown(breakdowns: &[RankBreakdown]) -> String {
+/// Render each rank's wall time, its compute/comm/wait split, and the
+/// share of wall time the spans cover.
+pub fn render_rank_breakdown(rollup: &Rollup) -> String {
     let mut out = format!(
         "{:>6}  {:>9}  {:>9}  {:>9}  {:>9}  {:>8}\n",
         "rank", "wall", "compute", "comm", "wait", "covered"
     );
-    for b in breakdowns {
+    for r in 0..rollup.ranks() {
+        let t = rollup.rank(r);
         out.push_str(&format!(
             "{:>6}  {:>9}  {:>9}  {:>9}  {:>9}  {:>7.1}%\n",
-            b.rank,
-            dur(b.wall),
-            dur(b.compute),
-            dur(b.comm),
-            dur(b.wait),
-            b.coverage() * 100.0
+            r,
+            dur(rollup.wall(r)),
+            dur(t.compute),
+            dur(t.comm),
+            dur(t.wait),
+            rollup.coverage(r) * 100.0
         ));
     }
     out
@@ -556,22 +383,22 @@ mod tests {
 
     #[test]
     fn phase_metrics_split_compute_comm_wait() {
-        let merged = merged_fixture();
-        let ms = phase_metrics(&merged);
-        assert_eq!(ms.len(), 2);
-        let main = &ms[0];
-        assert_eq!(main.phase, "main");
-        assert_eq!(main.events, 2);
-        assert_eq!(main.compute, Duration::from_micros(120));
-        assert_eq!(main.wait, Duration::ZERO);
-        assert_eq!(main.compute_hist.max, Duration::from_micros(80));
-        assert_eq!(main.compute_hist.p50, Duration::from_micros(40));
-        let sync = &ms[1];
-        assert_eq!(sync.phase, "sync_0");
-        assert_eq!(sync.msgs, 2, "send + recv; barrier is not a message");
-        assert_eq!(sync.bytes, 64);
-        assert_eq!(sync.wait, Duration::from_micros(70), "recv 50 + barrier 20");
-        let rendered = render_phase_metrics(&ms);
+        let rollup = Rollup::of(&merged_fixture());
+        assert_eq!(rollup.phases.len(), 2);
+        let main = &rollup.phases[0];
+        assert_eq!(main.name, "main");
+        assert_eq!(main.total().events, 2);
+        assert_eq!(main.total().compute, Duration::from_micros(120));
+        assert_eq!(main.total().wait, Duration::ZERO);
+        assert_eq!(main.compute_spans.max, Duration::from_micros(80));
+        assert_eq!(main.compute_spans.p50, Duration::from_micros(40));
+        let sync = &rollup.phases[1];
+        assert_eq!(sync.name, "sync_0");
+        let t = sync.total();
+        assert_eq!(t.msgs, 2, "send + recv; barrier is not a message");
+        assert_eq!(t.bytes, 64);
+        assert_eq!(t.wait, Duration::from_micros(70), "recv 50 + barrier 20");
+        let rendered = render_phase_metrics(&rollup);
         assert!(rendered.contains("sync_0"), "{rendered}");
         assert!(rendered.lines().next().unwrap().contains("compute"));
     }
@@ -613,29 +440,26 @@ mod tests {
             complete: true,
             skipped: 0,
         };
-        let merged = crate::journal::merge(&[journal]);
-        let ms = phase_metrics(&merged);
-        assert_eq!(ms.len(), 1);
-        assert_eq!(ms[0].overlap, Duration::from_micros(30));
-        assert_eq!(ms[0].compute, Duration::from_micros(30), "overlap is work");
-        assert_eq!(ms[0].wait, Duration::from_micros(10));
-        let b = rank_breakdown(&merged.traces);
-        assert_eq!(b[0].compute, Duration::from_micros(30));
-        assert_eq!(b[0].wait, Duration::from_micros(10));
-        assert!((b[0].coverage() - 1.0).abs() < 1e-9);
+        let rollup = Rollup::of(&crate::journal::merge(&[journal]));
+        assert_eq!(rollup.phases.len(), 1);
+        let t = rollup.phases[0].total();
+        assert_eq!(t.overlap, Duration::from_micros(30));
+        assert_eq!(t.compute, Duration::from_micros(30), "overlap is work");
+        assert_eq!(t.wait, Duration::from_micros(10));
+        assert_eq!(rollup.rank(0), t, "one phase, one rank");
+        assert!((rollup.coverage(0) - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn rank_breakdown_covers_wall_time() {
-        let merged = merged_fixture();
-        let b = rank_breakdown(&merged.traces);
-        assert_eq!(b[0].wall, Duration::from_micros(90));
-        assert_eq!(b[0].compute, Duration::from_micros(40));
-        assert_eq!(b[0].wait, Duration::from_micros(50));
-        assert!(b[0].coverage() > 0.99, "{}", b[0].coverage());
-        assert_eq!(b[1].wall, Duration::from_micros(100));
-        assert!((b[1].coverage() - 1.0).abs() < 1e-9);
-        let rendered = render_rank_breakdown(&b);
+        let rollup = Rollup::of(&merged_fixture());
+        assert_eq!(rollup.wall(0), Duration::from_micros(90));
+        assert_eq!(rollup.rank(0).compute, Duration::from_micros(40));
+        assert_eq!(rollup.rank(0).wait, Duration::from_micros(50));
+        assert!(rollup.coverage(0) > 0.99, "{}", rollup.coverage(0));
+        assert_eq!(rollup.wall(1), Duration::from_micros(100));
+        assert!((rollup.coverage(1) - 1.0).abs() < 1e-9);
+        let rendered = render_rank_breakdown(&rollup);
         assert!(rendered.contains("covered"), "{rendered}");
         assert!(rendered.contains("100.0%"), "{rendered}");
     }

@@ -19,6 +19,7 @@
 //! epoch in the run so one cross-rank timeline comes out, ready for the
 //! renderers in [`crate::trace`] and the exporters in [`crate::export`].
 
+use crate::rollup::classify;
 use crate::trace::{EventKind, TraceEvent};
 use serde::json::{self, Value};
 use std::fmt;
@@ -481,7 +482,7 @@ pub fn merge(journals: &[RankJournal]) -> MergedTrace {
 /// different hosts (or launched seconds apart) journal against
 /// origins whose wall-clock gap says nothing about where the ranks
 /// stood *relative to each other* — epoch alignment then smears that
-/// clock skew into every cross-rank figure. The first communication
+/// clock skew into every cross-rank figure. The first blocking sync
 /// event every rank shares is a true rendezvous: no rank can complete
 /// it before the others arrive, so pinning its completion to one
 /// instant across ranks bounds the alignment error by that sync's
@@ -489,11 +490,14 @@ pub fn merge(journals: &[RankJournal]) -> MergedTrace {
 /// imbalance, straggler attribution) should run on this merge.
 ///
 /// The marker is the first phase, in rank-0 event order, in which
-/// every rank recorded a non-compute event; each rank aligns at its
-/// first such event's end. Falls back to [`merge`] when no shared
-/// marker phase exists (e.g. a single rank, or disjoint journals).
+/// every rank recorded a blocking event (receive, barrier, reduce —
+/// see [`crate::rollup::Class::rendezvous`]); each rank aligns at its
+/// first such event's end. A buffered send completes the moment it is
+/// posted, so it never serves as a marker. Falls back to [`merge`]
+/// when no shared marker phase exists (e.g. a single rank, or disjoint
+/// journals).
 pub fn merge_marker_aligned(journals: &[RankJournal]) -> MergedTrace {
-    let is_marker = |e: &JournalEvent| !matches!(e.kind, EventKind::Compute | EventKind::Overlap);
+    let is_marker = |e: &JournalEvent| classify(e.kind).rendezvous;
     let marker_ends = journals.first().and_then(|j0| {
         let mut seen: Vec<&str> = Vec::new();
         for e in j0.events.iter().filter(|e| is_marker(e)) {

@@ -31,7 +31,8 @@
 //!   which peer/tag in which phase, instead of hanging the run;
 //! * per-rank statistics and event traces (message, element, and wire
 //!   byte counts per phase), which the cluster cost model and the
-//!   profiler consume.
+//!   profiler consume, folded once into a phase × rank [`Rollup`] that
+//!   every report, check and advisor reads.
 //!
 //! Sends are buffered, matching the eager-send semantics of
 //! small-message MPI on Ethernet: a `send` never blocks, so the
@@ -43,6 +44,7 @@ pub mod error;
 pub mod export;
 pub mod inproc;
 pub mod journal;
+pub mod rollup;
 pub mod telemetry;
 pub mod trace;
 pub mod transport;
@@ -54,24 +56,19 @@ pub use checkpoint::{
 };
 pub use comm::{Comm, CommStats, ReduceOp, DEFAULT_TIMEOUT};
 pub use error::{CommError, CommErrorKind};
-pub use export::{
-    chrome_trace, phase_metrics, rank_breakdown, render_phase_metrics, render_rank_breakdown,
-    PhaseMetrics, RankBreakdown,
-};
+pub use export::{chrome_trace, render_phase_metrics, render_rank_breakdown};
 pub use inproc::{run_spmd, run_spmd_with_timeout, InprocTransport};
 pub use journal::{
     epoch_unix_ns, load_trace_dir, merge, merge_marker_aligned, parse_line, parse_rank_journal,
     write_rank_journal, JournalError, JournalEvent, JournalHeader, JournalRecord, JournalWriter,
     MergedTrace, RankJournal, SCHEMA_VERSION,
 };
+pub use rollup::{classify, Activity, Cell, Class, PhaseRow, Rollup};
 pub use telemetry::{
     encode_stat_frame, parse_stat_frame, read_spool, spool_path, PeerTraffic, StatFrame,
     TelemetryBus, TelemetryConfig, TelemetrySink, DEFAULT_TELEMETRY_INTERVAL, TELEMETRY_SCHEMA,
 };
-pub use trace::{
-    render_timeline, render_wire_table, summarize, wire_by_phase, wire_bytes, EventKind, Recorder,
-    TraceEvent,
-};
+pub use trace::{render_timeline, render_wire_table, EventKind, Recorder, TraceEvent};
 pub use transport::{
     InboxMsg, MatchingInbox, RecvRequest, SendRequest, Transport, WireStats, BARRIER_TAG_BASE,
 };

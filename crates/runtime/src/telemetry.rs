@@ -21,6 +21,8 @@
 //! The frame codec is a single JSON line (the journal's format family),
 //! so spool files, wire frames, and the bus all speak the same bytes.
 
+use crate::rollup::{classify, Activity};
+use crate::trace::EventKind;
 use parking_lot::Mutex;
 use serde::json::{self, Value};
 use std::collections::VecDeque;
@@ -97,9 +99,9 @@ impl StatFrame {
         self.compute_us + self.overlap_us + self.comm_us
     }
 
-    /// Exposed-communication fraction: wait over (busy + wait). `None`
-    /// before the rank has done anything.
-    pub fn exposed_pct(&self) -> Option<f64> {
+    /// Fraction of the rank's traced time spent waiting: wait over
+    /// (busy + wait), 0–1. `None` before the rank has done anything.
+    pub fn wait_share(&self) -> Option<f64> {
         let total = self.busy_us() + self.wait_us;
         if total == 0 {
             return None;
@@ -324,28 +326,17 @@ impl TelemetrySink {
         &self.bus
     }
 
-    /// Add a compute span.
-    pub fn add_compute(&self, d: Duration) {
-        self.compute_us
-            .fetch_add(d.as_micros() as u64, Ordering::Relaxed);
-    }
-
-    /// Add an overlapped-compute span.
-    pub fn add_overlap(&self, d: Duration) {
-        self.overlap_us
-            .fetch_add(d.as_micros() as u64, Ordering::Relaxed);
-    }
-
-    /// Add a blocked (receive/barrier) span.
-    pub fn add_wait(&self, d: Duration) {
-        self.wait_us
-            .fetch_add(d.as_micros() as u64, Ordering::Relaxed);
-    }
-
-    /// Add a send/reduce busy span.
-    pub fn add_comm(&self, d: Duration) {
-        self.comm_us
-            .fetch_add(d.as_micros() as u64, Ordering::Relaxed);
+    /// Add one span of `kind` to the counter its [`classify`] activity
+    /// names (overlap spans go to `overlap_us` only; the frame's
+    /// `compute_us` excludes them).
+    pub fn add(&self, kind: EventKind, span: Duration) {
+        let counter = match classify(kind).activity {
+            Activity::Compute => &self.compute_us,
+            Activity::Overlap => &self.overlap_us,
+            Activity::Comm => &self.comm_us,
+            Activity::Wait => &self.wait_us,
+        };
+        counter.fetch_add(span.as_micros() as u64, Ordering::Relaxed);
     }
 
     /// Account one message of `bytes` sent to `peer`.
@@ -547,13 +538,13 @@ mod tests {
             engine: "tree".into(),
             capacity: 8,
         });
-        sink.add_compute(Duration::from_micros(300));
-        sink.add_wait(Duration::from_micros(50));
+        sink.add(EventKind::Compute, Duration::from_micros(300));
+        sink.add(EventKind::Barrier, Duration::from_micros(50));
         sink.add_send(1, 64);
         sink.add_send(1, 64);
         sink.note_checkpoint(4);
         let f1 = sink.publish(0, "main", Duration::from_millis(10));
-        sink.add_compute(Duration::from_micros(200));
+        sink.add(EventKind::Compute, Duration::from_micros(200));
         let f2 = sink.publish(0, "sync_0", Duration::from_millis(20));
         assert_eq!(f1.compute_us, 300);
         assert_eq!(f2.compute_us, 500, "counters are cumulative");
@@ -585,19 +576,19 @@ mod tests {
     }
 
     #[test]
-    fn exposed_pct_and_busy() {
+    fn wait_share_and_busy() {
         let mut f = frame(0, 0);
         f.compute_us = 600;
         f.overlap_us = 100;
         f.comm_us = 100;
         f.wait_us = 200;
         assert_eq!(f.busy_us(), 800);
-        assert!((f.exposed_pct().unwrap() - 0.2).abs() < 1e-12);
+        assert!((f.wait_share().unwrap() - 0.2).abs() < 1e-12);
         f.compute_us = 0;
         f.overlap_us = 0;
         f.comm_us = 0;
         f.wait_us = 0;
-        assert_eq!(f.exposed_pct(), None);
+        assert_eq!(f.wait_share(), None);
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! communication event with wall-clock timestamps, wire footprint, and
 //! the program phase it ran in; [`render_timeline`] turns the per-rank
 //! traces into a text Gantt chart, and [`render_wire_table`] breaks the
-//! wire traffic down per rank per phase — identically for the in-process
-//! and TCP transports, since both feed the same trace.
+//! [`Rollup`]'s wire traffic down per rank per phase — identically for
+//! the in-process and TCP transports, since both feed the same trace.
 
+use crate::rollup::{classify, Activity, Cell, PhaseRow, Rollup};
 use std::time::{Duration, Instant};
 
 /// What happened.
@@ -92,10 +93,10 @@ impl TraceEvent {
     /// Time spent blocked in this event (zero for compute and overlap
     /// spans, which are working, not waiting).
     pub fn wait(&self) -> Duration {
-        if matches!(self.kind, EventKind::Compute | EventKind::Overlap) {
-            return Duration::ZERO;
+        match classify(self.kind).activity {
+            Activity::Compute | Activity::Overlap => Duration::ZERO,
+            Activity::Comm | Activity::Wait => self.span(),
         }
-        self.end.saturating_sub(self.start)
     }
 
     /// Span duration, regardless of kind.
@@ -114,82 +115,18 @@ pub trait Recorder {
     fn record_span(&self, kind: EventKind, start: Instant, end: Instant);
 }
 
-/// Summarize a rank's trace: `(events, total wait, elems sent+received)`.
-/// Compute spans count as events but contribute no wait and no elements.
-pub fn summarize(trace: &[TraceEvent]) -> (usize, Duration, usize) {
-    let wait = trace.iter().map(TraceEvent::wait).sum();
-    let elems = trace.iter().map(|e| e.elems).sum();
-    (trace.len(), wait, elems)
-}
-
-/// Total wire bytes a rank moved (sent + received), from its trace.
-pub fn wire_bytes(trace: &[TraceEvent]) -> u64 {
-    trace.iter().map(|e| e.bytes as u64).sum()
-}
-
-/// Aggregate one rank's trace into per-phase wire traffic:
-/// `(phase name, messages, bytes)` in phase-index order, skipping phases
-/// with no traced *communication* events (compute spans are ignored —
-/// this is a wire table). `phase_names` is the rank's phase list
-/// ([`crate::Comm::phase_names`]).
-pub fn wire_by_phase(trace: &[TraceEvent], phase_names: &[String]) -> Vec<(String, u64, u64)> {
-    let slots = phase_names.len().max(
-        trace
-            .iter()
-            .map(|e| e.phase as usize + 1)
-            .max()
-            .unwrap_or(0),
-    );
-    let mut msgs = vec![0u64; slots];
-    let mut bytes = vec![0u64; slots];
-    let mut touched = vec![false; slots];
-    for e in trace {
-        if matches!(e.kind, EventKind::Compute | EventKind::Overlap) {
-            continue;
-        }
-        let p = e.phase as usize;
-        touched[p] = true;
-        bytes[p] += e.bytes as u64;
-        if matches!(
-            e.kind,
-            EventKind::Send | EventKind::Recv | EventKind::Reduce
-        ) {
-            msgs[p] += 1;
-        }
-    }
-    (0..slots)
-        .filter(|&p| touched[p])
-        .map(|p| {
-            let name = phase_names
-                .get(p)
-                .cloned()
-                .unwrap_or_else(|| format!("phase_{p}"));
-            (name, msgs[p], bytes[p])
-        })
-        .collect()
-}
-
 /// Render per-rank per-phase wire traffic as a text table.
 ///
-/// `traces[r]` and `phase_names[r]` are rank `r`'s trace and phase list.
-/// Rows are phases in first-appearance order across ranks; cells are
-/// `msgs/bytes`; a final column and row total per phase and per rank.
-pub fn render_wire_table(traces: &[Vec<TraceEvent>], phase_names: &[Vec<String>]) -> String {
-    let n = traces.len();
-    // ordered union of phase names with any traffic
-    let mut phases: Vec<String> = Vec::new();
-    let per_rank: Vec<Vec<(String, u64, u64)>> = traces
+/// Rows are the rollup's phases that recorded any comm or wait event
+/// (compute spans are not wire traffic); cells are `msgs/bytes`; a
+/// final column and row total per phase and per rank.
+pub fn render_wire_table(rollup: &Rollup) -> String {
+    let n = rollup.ranks();
+    let phases: Vec<&PhaseRow> = rollup
+        .phases
         .iter()
-        .zip(phase_names)
-        .map(|(t, names)| wire_by_phase(t, names))
+        .filter(|p| p.total().wire_events > 0)
         .collect();
-    for rows in &per_rank {
-        for (name, _, _) in rows {
-            if !phases.contains(name) {
-                phases.push(name.clone());
-            }
-        }
-    }
     let cell = |msgs: u64, bytes: u64| {
         if msgs == 0 && bytes == 0 {
             "-".to_string()
@@ -199,7 +136,7 @@ pub fn render_wire_table(traces: &[Vec<TraceEvent>], phase_names: &[Vec<String>]
     };
     let name_w = phases
         .iter()
-        .map(|p| p.len())
+        .map(|p| p.name.len())
         .chain(["phase".len(), "total".len()])
         .max()
         .unwrap_or(5);
@@ -209,32 +146,21 @@ pub fn render_wire_table(traces: &[Vec<TraceEvent>], phase_names: &[Vec<String>]
         out.push_str(&format!("  {:>16}", format!("rank {r}")));
     }
     out.push_str(&format!("  {:>16}\n", "total"));
-    let mut rank_totals = vec![(0u64, 0u64); n];
-    for phase in &phases {
-        out.push_str(&format!("{phase:name_w$}"));
-        let (mut pm, mut pb) = (0u64, 0u64);
-        for (r, rows) in per_rank.iter().enumerate() {
-            let (m, b) = rows
-                .iter()
-                .find(|(name, _, _)| name == phase)
-                .map(|&(_, m, b)| (m, b))
-                .unwrap_or((0, 0));
-            pm += m;
-            pb += b;
-            rank_totals[r].0 += m;
-            rank_totals[r].1 += b;
-            out.push_str(&format!("  {:>16}", cell(m, b)));
+    let mut row = |name: &str, cells: &[Cell]| {
+        out.push_str(&format!("{name:name_w$}"));
+        for c in cells {
+            out.push_str(&format!("  {:>16}", cell(c.msgs, c.bytes)));
         }
-        out.push_str(&format!("  {:>16}\n", cell(pm, pb)));
+        let total: Cell = cells.iter().sum();
+        out.push_str(&format!("  {:>16}\n", cell(total.msgs, total.bytes)));
+    };
+    for p in &phases {
+        row(&p.name, &p.ranks);
     }
-    out.push_str(&format!("{:name_w$}", "total"));
-    let (mut tm, mut tb) = (0u64, 0u64);
-    for &(m, b) in &rank_totals {
-        tm += m;
-        tb += b;
-        out.push_str(&format!("  {:>16}", cell(m, b)));
-    }
-    out.push_str(&format!("  {:>16}\n", cell(tm, tb)));
+    let totals: Vec<Cell> = (0..n)
+        .map(|r| phases.iter().map(|p| &p.ranks[r]).sum())
+        .collect();
+    row("total", &totals);
     out
 }
 
@@ -320,6 +246,21 @@ mod tests {
         }
     }
 
+    fn one_rank(trace: Vec<TraceEvent>, names: &[&str]) -> Rollup {
+        let names = names.iter().map(|n| n.to_string()).collect();
+        Rollup::new(&[trace], &[names])
+    }
+
+    /// `(phase, msgs, bytes)` of rank 0 for each row the wire table shows.
+    fn wire_rows(rollup: &Rollup) -> Vec<(String, u64, u64)> {
+        rollup
+            .phases
+            .iter()
+            .filter(|p| p.total().wire_events > 0)
+            .map(|p| (p.name.clone(), p.ranks[0].msgs, p.ranks[0].bytes))
+            .collect()
+    }
+
     #[test]
     fn summarize_totals() {
         let t = vec![
@@ -327,11 +268,12 @@ mod tests {
             ev(EventKind::Recv, 2, 7, 10),
             ev(EventKind::Barrier, 9, 10, 0),
         ];
-        let (n, wait, elems) = summarize(&t);
-        assert_eq!(n, 3);
-        assert_eq!(wait, Duration::from_millis(6));
-        assert_eq!(elems, 20);
-        assert_eq!(wire_bytes(&t), 160);
+        let rank = one_rank(t, &["main"]).rank(0);
+        assert_eq!(rank.events, 3);
+        assert_eq!(rank.wait, Duration::from_millis(6), "recv 5 + barrier 1");
+        assert_eq!(rank.comm, Duration::ZERO, "a buffered send takes no time");
+        assert_eq!(rank.msgs, 2, "a barrier is not a message");
+        assert_eq!(rank.bytes, 160);
     }
 
     #[test]
@@ -385,14 +327,16 @@ mod tests {
             ev_in(EventKind::Reduce, 3, 4, 1, 3),
             ev_in(EventKind::Barrier, 5, 6, 0, 3),
         ];
-        let rows = wire_by_phase(&trace, &names);
+        let rollup = Rollup::new(&[trace], &[names]);
         assert_eq!(
-            rows,
+            wire_rows(&rollup),
             vec![
                 ("sync_0".to_string(), 2, 64),
                 ("reduce_err".to_string(), 1, 8),
             ]
         );
+        let s = render_wire_table(&rollup);
+        assert!(!s.contains("main") && !s.contains("quiet"), "{s}");
     }
 
     #[test]
@@ -405,7 +349,7 @@ mod tests {
             vec![ev_in(EventKind::Send, 0, 0, 8, 1)],
             vec![ev_in(EventKind::Recv, 0, 1, 8, 1)],
         ];
-        let s = render_wire_table(&traces, &names);
+        let s = render_wire_table(&Rollup::new(&traces, &names));
         assert!(s.contains("sync_0"), "{s}");
         assert!(s.contains("1 msg/64 B"), "{s}");
         // grand total: 2 messages, 128 bytes
@@ -419,17 +363,18 @@ mod tests {
             ev(EventKind::Compute, 0, 40, 0),
             ev(EventKind::Recv, 40, 50, 4),
         ];
-        let (n, wait, elems) = summarize(&t);
-        assert_eq!(n, 2);
-        assert_eq!(wait, Duration::from_millis(10), "compute is not wait");
-        assert_eq!(elems, 4);
         assert_eq!(t[0].span(), Duration::from_millis(40));
+        assert_eq!(t[0].wait(), Duration::ZERO);
+        assert_eq!(t[1].wait(), Duration::from_millis(10));
+        let rollup = one_rank(t, &["main"]);
+        let rank = rollup.rank(0);
+        assert_eq!(rank.events, 2);
+        assert_eq!(rank.wait, Duration::from_millis(10), "compute is not wait");
+        assert_eq!(rank.compute, Duration::from_millis(40));
         // compute never shows up in the wire table
-        let names = vec!["main".to_string()];
-        let rows = wire_by_phase(&t, &names);
-        assert_eq!(rows, vec![("main".to_string(), 1, 32)]);
-        let quiet = vec![ev(EventKind::Compute, 0, 40, 0)];
-        assert!(wire_by_phase(&quiet, &names).is_empty());
+        assert_eq!(wire_rows(&rollup), vec![("main".to_string(), 1, 32)]);
+        let quiet = one_rank(vec![ev(EventKind::Compute, 0, 40, 0)], &["main"]);
+        assert!(wire_rows(&quiet).is_empty());
     }
 
     #[test]
@@ -438,11 +383,13 @@ mod tests {
             ev(EventKind::Overlap, 0, 30, 0),
             ev(EventKind::Recv, 30, 35, 4),
         ];
-        let (n, wait, _) = summarize(&t);
-        assert_eq!(n, 2);
-        assert_eq!(wait, Duration::from_millis(5), "overlap is not wait");
-        let names = vec!["main".to_string()];
-        assert_eq!(wire_by_phase(&t, &names), vec![("main".to_string(), 1, 32)]);
+        let rollup = one_rank(t.clone(), &["main"]);
+        assert_eq!(
+            rollup.rank(0).wait,
+            Duration::from_millis(5),
+            "overlap is not wait"
+        );
+        assert_eq!(wire_rows(&rollup), vec![("main".to_string(), 1, 32)]);
         let s = render_timeline(&[t], 10);
         assert!(s.lines().next().unwrap().contains('O'), "{s}");
     }
@@ -500,7 +447,7 @@ rank 1 |CCCCCCCsBB|
             ],
             vec![ev_in(EventKind::Recv, 5, 6, 8, 1)],
         ];
-        let s = render_wire_table(&traces, &names);
+        let s = render_wire_table(&Rollup::new(&traces, &names));
         let expect = "\
 phase             rank 0            rank 1             total
 sync_0        1 msg/64 B        1 msg/64 B       2 msg/128 B

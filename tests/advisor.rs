@@ -9,8 +9,8 @@ use autocfd::advisor;
 use autocfd::grid::{GridShape, PartitionSpec};
 use autocfd::obs;
 use autocfd::runtime::{
-    merge, merge_marker_aligned, phase_metrics, EventKind, JournalEvent, JournalHeader,
-    RankJournal, SCHEMA_VERSION,
+    merge, merge_marker_aligned, EventKind, JournalEvent, JournalHeader, RankJournal, Rollup,
+    SCHEMA_VERSION,
 };
 use autocfd::{compile, CompileOptions};
 use autocfd_cfd_kernels::{sprayer_program, CaseParams};
@@ -103,23 +103,29 @@ fn skewed_partition_is_diagnosed_and_search_rebalances_it() {
     let journals = skewed_journals();
     let merged = merge_marker_aligned(&journals);
     let diag = advisor::diagnose(&merged);
-    assert_eq!(diag.ranks, 4);
-    assert_eq!(diag.straggler, Some(3), "rank 3 does 4x the work");
+    let r = &diag.rollup;
+    assert_eq!(r.ranks(), 4);
+    assert_eq!(r.straggler(), Some(3), "rank 3 does 4x the work");
     assert!(
-        diag.imbalance > 1.5,
+        r.imbalance() > 1.5,
         "40 ms vs 17.5 ms mean should read as imbalance {:.2} > 1.5",
-        diag.imbalance
+        r.imbalance()
     );
-    let exposed = diag.exposed_pct.expect("halo waits recorded");
+    let exposed = r.total().exposed_pct().expect("halo waits recorded");
     assert!(
         exposed > 99.0,
         "no overlap spans, so every comm microsecond is exposed: {exposed:.1}%"
     );
     // per-sync attribution: the halo phase carries the wait, not the step
-    let sync = diag.phases.iter().find(|p| p.phase == "sync_v").unwrap();
-    assert!(sync.total_wait() > Duration::ZERO);
-    assert_eq!(sync.total_msgs(), 4);
-    assert_eq!(sync.total_bytes(), 4 * 100 * 8);
+    let sync = r
+        .phases
+        .iter()
+        .find(|p| p.name == "sync_v")
+        .unwrap()
+        .total();
+    assert!(sync.wait > Duration::ZERO);
+    assert_eq!(sync.msgs, 4);
+    assert_eq!(sync.bytes, 4 * 100 * 8);
 
     let shape = GridShape::d2(300, 100);
     let rec = advisor::search(
@@ -158,8 +164,8 @@ fn diagnosis_uses_marker_alignment_not_wall_clock_epochs() {
     let aligned = merge_marker_aligned(&journals);
     // Rank 1's 3 s clock skew inflates the epoch-merged makespan; the
     // marker-aligned merge cancels it before any skew math runs.
-    let wall_epoch = advisor::diagnose(&by_epoch).wall;
-    let wall_aligned = advisor::diagnose(&aligned).wall;
+    let wall_epoch = advisor::diagnose(&by_epoch).rollup.makespan();
+    let wall_aligned = advisor::diagnose(&aligned).rollup.makespan();
     assert!(
         wall_epoch > Duration::from_secs(2),
         "epoch merge should show the 3 s clock skew: {wall_epoch:?}"
@@ -167,6 +173,52 @@ fn diagnosis_uses_marker_alignment_not_wall_clock_epochs() {
     assert!(
         wall_aligned < Duration::from_millis(100),
         "marker alignment should recover the ~43 ms true makespan: {wall_aligned:?}"
+    );
+}
+
+/// Two ranks on the same clock meet at a send-then-recv halo; rank 1
+/// computes for 1 s first. Rank 0's buffered send completes at once, so
+/// it says nothing about where rank 1 stood: only the receives, which
+/// cannot finish before the peer's send, may align the ranks.
+#[test]
+fn marker_alignment_skips_buffered_sends() {
+    let send = |at: Duration, peer: usize| JournalEvent {
+        kind: EventKind::Send,
+        peer: Some(peer),
+        ..recv(at, at, peer, 100, "sync_h")
+    };
+    let late = ms(1_000);
+    let journal = |rank: usize, events: Vec<JournalEvent>| RankJournal {
+        header: JournalHeader {
+            version: SCHEMA_VERSION,
+            rank,
+            ranks: 2,
+            transport: "inproc".into(),
+            epoch_unix_ns: 1_700_000_000_000_000_000,
+        },
+        events,
+        complete: true,
+        skipped: 0,
+    };
+    let journals = vec![
+        journal(0, vec![send(ms(0), 1), recv(ms(0), late, 1, 100, "sync_h")]),
+        journal(
+            1,
+            vec![
+                compute(ms(0), late, "step"),
+                send(late, 0),
+                recv(late, late, 0, 100, "sync_h"),
+            ],
+        ),
+    ];
+    let by_epoch = advisor::diagnose(&merge(&journals)).rollup.makespan();
+    let aligned = advisor::diagnose(&merge_marker_aligned(&journals))
+        .rollup
+        .makespan();
+    assert_eq!(by_epoch, late, "shared clock: the true makespan is 1 s");
+    assert_eq!(
+        aligned, late,
+        "aligning at the sends would shift rank 0 by 1 s and read 2 s"
     );
 }
 
@@ -184,7 +236,7 @@ fn forecast_divergence_is_clean_on_real_trace_and_flags_a_doctored_one() {
     let merged = obs::load_merged_aligned(&dir).unwrap();
     let fc = autocfd::interp::forecast(&c.parallel_file, &c.spmd_plan).unwrap();
 
-    let clean = advisor::divergence(&fc, &phase_metrics(&merged), 0);
+    let clean = advisor::divergence(&fc, &Rollup::of(&merged), 0);
     assert!(!clean.is_empty());
     for d in clean.iter().filter(|d| d.forecast) {
         assert!(
@@ -208,7 +260,7 @@ fn forecast_divergence_is_clean_on_real_trace_and_flags_a_doctored_one() {
             ev.bytes *= 2;
         }
     }
-    let flagged = advisor::divergence(&fc, &phase_metrics(&doctored), 0);
+    let flagged = advisor::divergence(&fc, &Rollup::of(&doctored), 0);
     assert!(
         flagged.iter().any(|d| d.forecast && !d.ok(0.5)),
         "doubling wire bytes must diverge past 50%: {flagged:?}"

@@ -8,9 +8,7 @@
 //! partial trace so there is something to debug with.
 
 use autocfd::obs;
-use autocfd::runtime::{
-    chrome_trace, rank_breakdown, run_spmd_with_timeout, MergedTrace, SCHEMA_VERSION,
-};
+use autocfd::runtime::{chrome_trace, run_spmd_with_timeout, MergedTrace, Rollup, SCHEMA_VERSION};
 use autocfd::{compile, CompileOptions, Compiled};
 use autocfd_cfd_kernels::{aerofoil_program, sprayer_program, CaseParams};
 use std::path::PathBuf;
@@ -114,7 +112,8 @@ fn cross_validation_is_exact_on_both_case_studies() {
         let (c, _, merged) = trace_case(&src, parts, &format!("xval-{name}"));
         // zero tolerance: the forecast and the trace share the region
         // geometry, so predicted == measured to the byte
-        let checks = obs::cross_validate(&c, &merged, 0.0).unwrap();
+        let rollup = Rollup::of(&merged);
+        let checks = obs::cross_validate(&c, &rollup, &merged.transport, 0.0).unwrap();
         assert!(!checks.is_empty(), "{name}: no phases to validate");
         for chk in &checks {
             assert!(
@@ -129,7 +128,7 @@ fn cross_validation_is_exact_on_both_case_studies() {
             assert_eq!(chk.bytes.error(), 0.0, "{name} phase {}", chk.phase);
         }
         // and the report renders every section from the same merge
-        let report = obs::render_report(&merged);
+        let report = obs::render_report(&merged, &rollup);
         for section in ["rank 0 |", "wait p50/p95/max", "covered"] {
             assert!(report.contains(section), "{name}: missing `{section}`");
         }
@@ -140,12 +139,12 @@ fn cross_validation_is_exact_on_both_case_studies() {
 fn trace_covers_nearly_all_wall_time() {
     let src = aerofoil_program(&CaseParams::aerofoil_small());
     let (_, _, merged) = trace_case(&src, &[3, 1, 1], "coverage");
-    for b in rank_breakdown(&merged.traces) {
+    let rollup = Rollup::of(&merged);
+    for rank in 0..rollup.ranks() {
         assert!(
-            b.coverage() > 0.9,
-            "rank {}: compute+comm+wait covers only {:.1}% of wall time",
-            b.rank,
-            b.coverage() * 100.0
+            rollup.coverage(rank) > 0.9,
+            "rank {rank}: compute+comm+wait covers only {:.1}% of wall time",
+            rollup.coverage(rank) * 100.0
         );
     }
 }

@@ -170,7 +170,7 @@ fn advisor_measures_critical_path_from_recorded_edges() {
         .expect("edge-measured path present when edges matched");
     assert!(measured > Duration::ZERO);
     assert!(
-        measured <= diag.critical_path(),
+        measured <= diag.rollup.critical_path(),
         "dataflow replay can only tighten the phase-estimated bound"
     );
     let rendered = advisor::render_diagnosis(&diag);
