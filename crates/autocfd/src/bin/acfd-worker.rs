@@ -27,15 +27,14 @@
 //! flight while the following nest's interior computes.
 //!
 //! With `--checkpoint-every N --checkpoint-dir DIR` the rank snapshots
-//! its full interpreter state every N-th checkpoint-safe sync visit.
-//! `--resume-epoch E` restores rank state from `DIR/epoch-E/` — the
-//! snapshot is loaded *after* the mesh join assigns this process its
-//! rank — and continues bit-exactly; an epoch cut on a *different*
-//! rank count is elastically repartitioned onto this mesh first
-//! (see [`autocfd::interp::repartition`]). `--plan plan.json`
-//! substitutes a
-//! previously emitted plan artifact for the one the local compile
-//! produced. `--chaos-abort-after N` (fault injection for the chaos
+//! its full interpreter state to `DIR/epoch-E/rank-<r>.snap` every N-th
+//! checkpoint-safe sync visit. `--resume-epoch E` restores rank state
+//! from `DIR/epoch-E/` — the snapshot is loaded *after* the mesh join
+//! assigns this process its rank — and continues bit-exactly; an epoch
+//! cut on a *different* rank count is elastically repartitioned onto
+//! this mesh first (see [`autocfd::interp::repartition`]).
+//! `--plan plan.json` substitutes a previously emitted plan artifact
+//! for the one the local compile produced. `--chaos-abort-after N` (fault injection for the chaos
 //! tests) aborts the whole process at the N-th checkpoint-safe sync
 //! visit, before any journal flush — a deliberate hard crash.
 //!

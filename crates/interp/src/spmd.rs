@@ -1031,6 +1031,16 @@ pub fn restore_into(m: &mut Machine, frame: &mut Frame, snap: &Snapshot) -> Resu
                 s.name, arr.bounds, s.bounds
             )));
         }
+        // compiled kernels check offsets against `bounds` only, so the
+        // data must fill them exactly
+        if s.data.len() != arr.data.len() {
+            return Err(RunError::new(format!(
+                "checkpoint mismatch: {what} `{}` holds {} elements, snapshot has {}",
+                s.name,
+                arr.data.len(),
+                s.data.len()
+            )));
+        }
         arr.data = s.data.iter().map(|&b| f64::from_bits(b)).collect();
         Ok(())
     }
@@ -1237,6 +1247,43 @@ mod tests {
             vec![vec![1, 5], vec![2, 5], vec![1, 6], vec![2, 6]],
             "first index varies fastest (column-major order)"
         );
+    }
+
+    #[test]
+    fn restore_refuses_an_array_short_of_its_bounds() {
+        let mut m = Machine::new(vec![]);
+        let id = m.alloc(ArrayVal::new(vec![(1, 4)], false).unwrap());
+        let mut frame = Frame::default();
+        frame.arrays.insert("u".into(), id);
+        let mut snap = Snapshot {
+            rank: 0,
+            ranks: 1,
+            parts: vec![1],
+            epoch: 1,
+            sync_id: 0,
+            cursor: Default::default(),
+            cut: None,
+            arrays: vec![ArraySnap {
+                name: "u".into(),
+                bounds: vec![(1, 4)],
+                is_int: false,
+                data: vec![1.0f64.to_bits(); 3],
+            }],
+            commons: vec![],
+            scalars: vec![],
+            input: vec![],
+            output: vec![],
+            ops: Default::default(),
+        };
+        let err = restore_into(&mut m, &mut frame, &snap).unwrap_err();
+        assert!(
+            err.to_string().contains("holds 4 elements, snapshot has 3"),
+            "{err}"
+        );
+        assert_eq!(m.array(id).data, vec![0.0; 4], "nothing installed");
+        snap.arrays[0].data.push(2.0f64.to_bits());
+        restore_into(&mut m, &mut frame, &snap).unwrap();
+        assert_eq!(m.array(id).data, vec![1.0, 1.0, 1.0, 2.0]);
     }
 
     #[test]

@@ -17,8 +17,20 @@
 //! directory:
 //!
 //! ```text
-//! DIR/run.json              — relaunch manifest (source, partition, flags)
-//! DIR/epoch-<E>/rank-<r>.json — per-rank snapshot of checkpoint epoch E
+//! DIR/run.json                — relaunch manifest (source, partition, flags)
+//! DIR/epoch-<E>/rank-<r>.snap — per-rank snapshot of checkpoint epoch E
+//! ```
+//!
+//! A snapshot file is binary ([`encode_snapshot`]):
+//!
+//! ```text
+//! b"ACFSNAP\n"   8-byte magic
+//! u64 LE         header length H
+//! H bytes        JSON header: version, rank, geometry, cursor, cut,
+//!                each array's name/bounds/is_int, scalars, input,
+//!                output, op counters
+//! u64 LE words   every array's data, in header order (local arrays,
+//!                then common members), as many words as its bounds hold
 //! ```
 //!
 //! Snapshots are written to a temp file and atomically renamed, so a
@@ -29,12 +41,13 @@
 //! recovery fall back to the previous complete epoch.
 //!
 //! All floating-point payloads are stored as IEEE-754 bit patterns
-//! (`f64::to_bits`) in JSON integers, so restore is bit-exact including
-//! negative zero, infinities and NaN payloads.
+//! (`f64::to_bits`) — array data as raw LE words, scalars and input as
+//! JSON integers — so restore is bit-exact including negative zero,
+//! infinities and NaN payloads.
 
 use serde::json::{self, Value};
 use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// Version of the snapshot/manifest schema. Bump on any incompatible
@@ -43,9 +56,10 @@ use std::path::{Path, PathBuf};
 /// the `parts` its owned regions were cut for, and the manifest records
 /// the global grid extents — together they make a checkpoint directory
 /// self-describing enough to re-decompose onto a different rank count.
-/// Version 1 files read back with both left empty (geometry unknown:
-/// same-rank-count resume still works, elastic resume refuses).
-pub const CHECKPOINT_SCHEMA_VERSION: i64 = 2;
+/// Version 3 replaced the all-JSON snapshot with a JSON header plus a
+/// raw little-endian payload. Snapshots of versions 1 and 2 are refused;
+/// manifests, still JSON, load from every version.
+pub const CHECKPOINT_SCHEMA_VERSION: i64 = 3;
 
 /// Progress of one active `do` loop on the path from the top of the
 /// main unit to the checkpoint statement, outermost first.
@@ -143,7 +157,7 @@ pub struct Snapshot {
     /// Mesh size the run was partitioned for.
     pub ranks: usize,
     /// Partition parts per grid axis the owned regions were cut for
-    /// (empty when loaded from a pre-geometry snapshot).
+    /// (empty when unknown, which elastic resume refuses).
     pub parts: Vec<u32>,
     /// Checkpoint epoch: the count of checkpoint-safe sync visits made
     /// when this snapshot was cut. All ranks of one epoch agree.
@@ -152,8 +166,8 @@ pub struct Snapshot {
     pub sync_id: u32,
     /// Resume position in the main unit.
     pub cursor: Cursor,
-    /// Source coordinates of the cut gap (`None` on pre-geometry
-    /// snapshots, which elastic resume refuses).
+    /// Source coordinates of the cut gap (`None` when unknown, which
+    /// elastic resume refuses).
     pub cut: Option<CutSite>,
     /// Main-frame local arrays (excluding common-block members).
     pub arrays: Vec<ArraySnap>,
@@ -206,8 +220,20 @@ pub struct RunManifest {
 }
 
 // ---------------------------------------------------------------------
-// JSON codec
+// Snapshot codec: JSON header + raw little-endian payload
 // ---------------------------------------------------------------------
+
+/// First bytes of every snapshot file.
+const SNAPSHOT_MAGIC: &[u8; 8] = b"ACFSNAP\n";
+
+/// Why a file that opens with `{` is refused: it is a JSON snapshot of
+/// schema 1 or 2, whose format this build no longer reads.
+const LEGACY_JSON: &str = "snapshot: schema 1/2 JSON snapshot (`rank-<r>.json` format), \
+     which this build no longer reads; it reads schema-3 binary snapshots";
+
+fn ints<T: Copy + Into<i128>>(xs: &[T]) -> Value {
+    Value::Arr(xs.iter().map(|&x| Value::Int(x.into())).collect())
+}
 
 fn scalar_json(s: &ScalarSnap) -> Value {
     match s {
@@ -230,118 +256,46 @@ fn scalar_json(s: &ScalarSnap) -> Value {
     }
 }
 
-/// `"00"`, `"01"`, ..., `"99"`: two decimal digits per table step.
-const DIGIT_PAIRS: [u8; 200] = {
-    let mut t = [0u8; 200];
-    let mut i = 0;
-    while i < 100 {
-        t[2 * i] = b'0' + (i / 10) as u8;
-        t[2 * i + 1] = b'0' + (i % 10) as u8;
-        i += 1;
-    }
-    t
-};
-
-/// `n < 10^4` as exactly four digits.
-fn four(out: &mut [u8], n: u32) {
-    let (hi, lo) = ((n / 100) as usize * 2, (n % 100) as usize * 2);
-    out[0..2].copy_from_slice(&DIGIT_PAIRS[hi..hi + 2]);
-    out[2..4].copy_from_slice(&DIGIT_PAIRS[lo..lo + 2]);
+/// Elements an array declared with `bounds` holds (an empty dimension
+/// holds none); `None` when the count overflows `usize`.
+fn element_count(bounds: &[(i64, i64)]) -> Option<usize> {
+    bounds.iter().try_fold(1usize, |n, &(lo, hi)| {
+        let extent = (i128::from(hi) - i128::from(lo) + 1).max(0);
+        n.checked_mul(usize::try_from(extent).ok()?)
+    })
 }
 
-/// `n < 10^8` as exactly eight digits.
-fn eight(out: &mut [u8], n: u32) {
-    four(&mut out[0..4], n / 10_000);
-    four(&mut out[4..8], n % 10_000);
+/// Header entry of one array; its data goes to the payload. Refuses an
+/// array whose data does not fill its bounds exactly, since the decoder
+/// sizes every array from its bounds.
+fn array_header(a: &ArraySnap) -> Result<Value, String> {
+    if element_count(&a.bounds) != Some(a.data.len()) {
+        return Err(format!(
+            "snapshot: array `{}` holds {} elements, its bounds {:?} do not",
+            a.name,
+            a.data.len(),
+            a.bounds
+        ));
+    }
+    let bounds = a.bounds.iter().map(|&(lo, hi)| ints(&[lo, hi])).collect();
+    Ok(Value::obj(vec![
+        ("name", Value::Str(a.name.clone())),
+        ("bounds", Value::Arr(bounds)),
+        ("is_int", Value::Bool(a.is_int)),
+    ]))
 }
 
-/// Single-pass snapshot writer. The bulk of a snapshot is `u64` bit
-/// patterns, written straight into the buffer as decimal digits; the
-/// few small fields (names, scalars, cursor, output lines) go through
-/// the `Value` renderer, so their escaping is the JSON module's own.
-struct SnapWriter {
-    out: Vec<u8>,
+/// Local arrays then common-block members: the payload order.
+fn payload_arrays(s: &Snapshot) -> impl Iterator<Item = &ArraySnap> {
+    s.arrays.iter().chain(s.commons.iter().map(|(_, _, a)| a))
 }
 
-impl SnapWriter {
-    fn raw(&mut self, s: &str) {
-        self.out.extend_from_slice(s.as_bytes());
-    }
-
-    /// `"key":value` pairs, comma-separated. Keys are plain field
-    /// names, which JSON needs no escapes for.
-    fn pairs(&mut self, pairs: &[(&str, Value)]) {
-        for (i, (k, v)) in pairs.iter().enumerate() {
-            if i > 0 {
-                self.raw(",");
-            }
-            write!(self.out, "\"{k}\":{v}").expect("writing to a Vec cannot fail");
-        }
-    }
-
-    /// `n` in decimal. All 20 digit places are filled in three
-    /// independent chunks (4 + 8 + 8 digits, two per table step), then
-    /// the leading zeros are dropped.
-    fn u64(&mut self, n: u64) {
-        const E8: u64 = 100_000_000;
-        let mut buf = [0u8; 20];
-        four(&mut buf[0..4], (n / E8 / E8) as u32);
-        eight(&mut buf[4..12], (n / E8 % E8) as u32);
-        eight(&mut buf[12..20], (n % E8) as u32);
-        let first = buf[..19].iter().position(|&d| d != b'0').unwrap_or(19);
-        self.out.extend_from_slice(&buf[first..]);
-    }
-
-    /// A JSON array of `items`, each written by `item`.
-    fn list<T>(&mut self, items: &[T], mut item: impl FnMut(&mut Self, &T)) {
-        self.raw("[");
-        for (i, x) in items.iter().enumerate() {
-            if i > 0 {
-                self.raw(",");
-            }
-            item(self, x);
-        }
-        self.raw("]");
-    }
-
-    fn bits(&mut self, bits: &[u64]) {
-        self.list(bits, |w, &b| w.u64(b));
-    }
-
-    fn array(&mut self, a: &ArraySnap) {
-        self.raw("{");
-        let bounds = a
-            .bounds
-            .iter()
-            .map(|&(lo, hi)| {
-                Value::Arr(vec![Value::Int(i128::from(lo)), Value::Int(i128::from(hi))])
-            })
-            .collect();
-        self.pairs(&[
-            ("name", Value::Str(a.name.clone())),
-            ("bounds", Value::Arr(bounds)),
-            ("is_int", Value::Bool(a.is_int)),
-        ]);
-        self.raw(",\"data\":");
-        self.bits(&a.data);
-        self.raw("}");
-    }
-}
-
-/// Render a snapshot as schema-versioned JSON, in one pass over a
-/// buffer sized for its bit-pattern payload. The format is pinned by
-/// `tests/data/snapshot-golden.json`.
-pub fn snapshot_to_json(s: &Snapshot) -> String {
-    let words = s.input.len()
-        + s.arrays
-            .iter()
-            .chain(s.commons.iter().map(|(_, _, a)| a))
-            .map(|a| a.data.len())
-            .sum::<usize>();
-    // 20 digits and a comma bound every word; the rest is small
-    let mut w = SnapWriter {
-        out: Vec::with_capacity(words * 21 + 4096),
-    };
+/// Encode a snapshot as its schema-3 file bytes: the magic
+/// `b"ACFSNAP\n"`, the header length as a little-endian `u64`, a JSON
+/// header holding everything but array data, then every array's bit
+/// patterns as raw little-endian words in header order. The format is
+/// pinned by `tests/data/snapshot-golden{,-bare}.snap`.
+pub fn encode_snapshot(s: &Snapshot) -> Result<Vec<u8>, String> {
     let dos = s
         .cursor
         .dos
@@ -359,10 +313,7 @@ pub fn snapshot_to_json(s: &Snapshot) -> String {
         ("version", Value::Int(i128::from(CHECKPOINT_SCHEMA_VERSION))),
         ("rank", Value::Int(s.rank as i128)),
         ("ranks", Value::Int(s.ranks as i128)),
-        (
-            "parts",
-            Value::Arr(s.parts.iter().map(|&p| Value::Int(i128::from(p))).collect()),
-        ),
+        ("parts", ints(&s.parts)),
         ("epoch", Value::Int(i128::from(s.epoch))),
         ("sync_id", Value::Int(i128::from(s.sync_id))),
         (
@@ -384,22 +335,22 @@ pub fn snapshot_to_json(s: &Snapshot) -> String {
             ]),
         ));
     }
-    w.raw("{");
-    w.pairs(&head);
-    w.raw(",\"arrays\":");
-    w.list(&s.arrays, SnapWriter::array);
-    w.raw(",\"commons\":");
-    w.list(&s.commons, |w, (block, member, a)| {
-        w.raw("{");
-        w.pairs(&[
-            ("block", Value::Str(block.clone())),
-            ("member", Value::Str(member.clone())),
-        ]);
-        w.raw(",\"array\":");
-        w.array(a);
-        w.raw("}");
-    });
-    w.raw(",");
+    let arrays = s
+        .arrays
+        .iter()
+        .map(array_header)
+        .collect::<Result<_, _>>()?;
+    let commons = s
+        .commons
+        .iter()
+        .map(|(block, member, a)| {
+            Ok::<Value, String>(Value::obj(vec![
+                ("block", Value::Str(block.clone())),
+                ("member", Value::Str(member.clone())),
+                ("array", array_header(a)?),
+            ]))
+        })
+        .collect::<Result<_, _>>()?;
     let scalars = s
         .scalars
         .iter()
@@ -410,11 +361,11 @@ pub fn snapshot_to_json(s: &Snapshot) -> String {
             ])
         })
         .collect();
-    w.pairs(&[("scalars", Value::Arr(scalars))]);
-    w.raw(",\"input\":");
-    w.bits(&s.input);
-    w.raw(",");
-    w.pairs(&[
+    head.extend([
+        ("arrays", Value::Arr(arrays)),
+        ("commons", Value::Arr(commons)),
+        ("scalars", Value::Arr(scalars)),
+        ("input", ints(&s.input)),
         (
             "output",
             Value::Arr(s.output.iter().map(|l| Value::Str(l.clone())).collect()),
@@ -429,35 +380,31 @@ pub fn snapshot_to_json(s: &Snapshot) -> String {
             ]),
         ),
     ]);
-    w.raw("}");
-    String::from_utf8(w.out).expect("snapshot JSON is UTF-8")
+    let header = Value::obj(head).to_string();
+    let words: usize = payload_arrays(s).map(|a| a.data.len()).sum();
+    let mut out = Vec::with_capacity(SNAPSHOT_MAGIC.len() + 8 + header.len() + words * 8);
+    out.extend_from_slice(SNAPSHOT_MAGIC);
+    out.extend_from_slice(&(header.len() as u64).to_le_bytes());
+    out.extend_from_slice(header.as_bytes());
+    for a in payload_arrays(s) {
+        for w in &a.data {
+            out.extend_from_slice(&w.to_le_bytes());
+        }
+    }
+    Ok(out)
 }
 
-/// Accept any schema version this build knows how to read (1 through
-/// the current); `what` names the file kind in the error.
-fn check_version(v: &Value, what: &str) -> Result<(), String> {
+/// Check the `version` field against the versions this build reads,
+/// `oldest..=CHECKPOINT_SCHEMA_VERSION`; `what` names the file kind in
+/// the error.
+fn check_version(v: &Value, what: &str, oldest: i64) -> Result<(), String> {
     let version = int_field(v, "version").map_err(|e| e.replace("snapshot", what))?;
-    if !(1..=i128::from(CHECKPOINT_SCHEMA_VERSION)).contains(&version) {
+    if !(i128::from(oldest)..=i128::from(CHECKPOINT_SCHEMA_VERSION)).contains(&version) {
         return Err(format!(
-            "{what}: schema version {version} (this build reads 1..={CHECKPOINT_SCHEMA_VERSION})"
+            "{what}: schema version {version} (this build reads {oldest}..={CHECKPOINT_SCHEMA_VERSION})"
         ));
     }
     Ok(())
-}
-
-/// Parse an optional `u32` array field; absent (schema 1) reads back
-/// empty.
-fn parts_field(v: &Value, key: &str, what: &str) -> Result<Vec<u32>, String> {
-    let Some(raw) = v.get(key).and_then(Value::as_arr) else {
-        return Ok(Vec::new());
-    };
-    raw.iter()
-        .map(|p| {
-            p.as_int()
-                .and_then(|i| u32::try_from(i).ok())
-                .ok_or_else(|| format!("{what}: bad `{key}` entry"))
-        })
-        .collect()
 }
 
 fn get<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
@@ -488,41 +435,57 @@ fn arr<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], String> {
         .ok_or_else(|| format!("snapshot: `{key}` is not an array"))
 }
 
-fn bits_field(v: &Value, key: &str) -> Result<Vec<u64>, String> {
+/// An array of integers, each converted to `T`.
+fn nums<T: TryFrom<i128>>(v: &Value, key: &str) -> Result<Vec<T>, String> {
     arr(v, key)?
         .iter()
         .map(|x| {
             x.as_int()
-                .and_then(|i| u64::try_from(i).ok())
-                .ok_or_else(|| format!("snapshot: bad bit pattern in `{key}`"))
+                .and_then(|i| T::try_from(i).ok())
+                .ok_or_else(|| format!("snapshot: bad `{key}` entry"))
         })
         .collect()
 }
 
-fn parse_array_snap(v: &Value) -> Result<ArraySnap, String> {
+/// Split `n` bytes off the front of `payload`.
+fn take<'a>(payload: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
+    let (head, rest) = payload.split_at_checked(n)?;
+    *payload = rest;
+    Some(head)
+}
+
+/// Parse one array's header entry and take its data — as many words as
+/// its bounds hold — off the front of `payload`. The size is checked
+/// against the bytes left before anything is allocated.
+fn parse_array_snap(v: &Value, payload: &mut &[u8]) -> Result<ArraySnap, String> {
+    let name = str_field(v, "name")?;
     let bounds = arr(v, "bounds")?
         .iter()
         .map(|b| {
-            let pair = b
-                .as_arr()
-                .filter(|p| p.len() == 2)
-                .ok_or("snapshot: bound is not a pair")?;
-            let lo = pair[0]
-                .as_int()
-                .and_then(|i| i64::try_from(i).ok())
-                .ok_or("snapshot: bad bound")?;
-            let hi = pair[1]
-                .as_int()
-                .and_then(|i| i64::try_from(i).ok())
-                .ok_or("snapshot: bad bound")?;
-            Ok::<(i64, i64), String>((lo, hi))
+            let pair: Option<Vec<i64>> = b.as_arr().filter(|p| p.len() == 2).and_then(|p| {
+                p.iter()
+                    .map(|x| x.as_int().and_then(|i| i64::try_from(i).ok()))
+                    .collect()
+            });
+            pair.map(|p| (p[0], p[1]))
+                .ok_or("snapshot: bound is not an integer pair")
         })
         .collect::<Result<Vec<_>, _>>()?;
+    let bytes = element_count(&bounds)
+        .and_then(|n| n.checked_mul(8))
+        .and_then(|n| take(payload, n))
+        .ok_or_else(|| {
+            format!("snapshot: array `{name}` with bounds {bounds:?} overruns the file")
+        })?;
+    let data = bytes
+        .chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().expect("chunks_exact yields 8-byte words")))
+        .collect();
     Ok(ArraySnap {
-        name: str_field(v, "name")?,
+        name,
         bounds,
         is_int: matches!(get(v, "is_int")?, Value::Bool(true)),
-        data: bits_field(v, "data")?,
+        data,
     })
 }
 
@@ -539,10 +502,27 @@ fn parse_scalar(v: &Value) -> Result<ScalarSnap, String> {
     }
 }
 
-/// Parse a snapshot back from its JSON rendering.
-pub fn snapshot_from_json(text: &str) -> Result<Snapshot, String> {
-    let v = json::parse(text).map_err(|e| format!("snapshot: {e}"))?;
-    check_version(&v, "snapshot")?;
+/// Decode a snapshot from its file bytes (see [`encode_snapshot`]).
+/// Every malformed input — bad magic, unknown version, a header or
+/// array that overruns the file, trailing bytes — is an `Err`; nothing
+/// is allocated beyond what the bytes present can fill.
+pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, String> {
+    let Some(mut rest) = bytes.strip_prefix(SNAPSHOT_MAGIC.as_slice()) else {
+        return Err(if bytes.starts_with(b"{") {
+            LEGACY_JSON.to_string()
+        } else {
+            "snapshot: bad magic (not a checkpoint snapshot)".to_string()
+        });
+    };
+    let len = take(&mut rest, 8).ok_or("snapshot: truncated header length")?;
+    let len = u64::from_le_bytes(len.try_into().expect("took 8 bytes"));
+    let head = usize::try_from(len)
+        .ok()
+        .and_then(|n| take(&mut rest, n))
+        .ok_or_else(|| format!("snapshot: header of {len} bytes overruns the file"))?;
+    let head = std::str::from_utf8(head).map_err(|e| format!("snapshot: header: {e}"))?;
+    let v = json::parse(head).map_err(|e| format!("snapshot: header: {e}"))?;
+    check_version(&v, "snapshot", CHECKPOINT_SCHEMA_VERSION)?;
     let cv = get(&v, "cursor")?;
     let cursor = Cursor {
         stmt: num(cv, "stmt")?,
@@ -560,7 +540,7 @@ pub fn snapshot_from_json(text: &str) -> Result<Snapshot, String> {
     };
     let arrays = arr(&v, "arrays")?
         .iter()
-        .map(parse_array_snap)
+        .map(|a| parse_array_snap(a, &mut rest))
         .collect::<Result<Vec<_>, _>>()?;
     let commons = arr(&v, "commons")?
         .iter()
@@ -568,10 +548,16 @@ pub fn snapshot_from_json(text: &str) -> Result<Snapshot, String> {
             Ok::<(String, String, ArraySnap), String>((
                 str_field(c, "block")?,
                 str_field(c, "member")?,
-                parse_array_snap(get(c, "array")?)?,
+                parse_array_snap(get(c, "array")?, &mut rest)?,
             ))
         })
         .collect::<Result<Vec<_>, _>>()?;
+    if !rest.is_empty() {
+        return Err(format!(
+            "snapshot: {} trailing bytes after the array data",
+            rest.len()
+        ));
+    }
     let scalars = arr(&v, "scalars")?
         .iter()
         .map(|s| {
@@ -590,7 +576,6 @@ pub fn snapshot_from_json(text: &str) -> Result<Snapshot, String> {
         })
         .collect::<Result<Vec<_>, _>>()?;
     let ov = get(&v, "ops")?;
-    // absent on schema-1 snapshots: geometry unknown, elastic refuses
     let cut = match v.get("cut") {
         None => None,
         Some(cv) => Some(CutSite {
@@ -603,7 +588,7 @@ pub fn snapshot_from_json(text: &str) -> Result<Snapshot, String> {
     Ok(Snapshot {
         rank: num(&v, "rank")?,
         ranks: num(&v, "ranks")?,
-        parts: parts_field(&v, "parts", "snapshot")?,
+        parts: nums(&v, "parts")?,
         epoch: num(&v, "epoch")?,
         sync_id: num(&v, "sync_id")?,
         cursor,
@@ -611,7 +596,7 @@ pub fn snapshot_from_json(text: &str) -> Result<Snapshot, String> {
         arrays,
         commons,
         scalars,
-        input: bits_field(&v, "input")?,
+        input: nums(&v, "input")?,
         output,
         ops: OpsSnap {
             flops: num(ov, "flops")?,
@@ -627,14 +612,8 @@ pub fn manifest_to_json(m: &RunManifest) -> String {
     Value::obj(vec![
         ("version", Value::Int(i128::from(CHECKPOINT_SCHEMA_VERSION))),
         ("source", Value::Str(m.source.clone())),
-        (
-            "parts",
-            Value::Arr(m.parts.iter().map(|&p| Value::Int(i128::from(p))).collect()),
-        ),
-        (
-            "grid",
-            Value::Arr(m.grid.iter().map(|&e| Value::Int(i128::from(e))).collect()),
-        ),
+        ("parts", ints(&m.parts)),
+        ("grid", ints(&m.grid)),
         ("ranks", Value::Int(m.ranks as i128)),
         ("distance", Value::Int(i128::from(m.distance))),
         ("optimize", Value::Bool(m.optimize)),
@@ -650,32 +629,17 @@ pub fn manifest_to_json(m: &RunManifest) -> String {
     .to_string()
 }
 
-/// Parse a run manifest back from its JSON rendering.
+/// Parse a run manifest back from its JSON rendering. Manifests of
+/// every schema version (1 through the current) load.
 pub fn manifest_from_json(text: &str) -> Result<RunManifest, String> {
     let v = json::parse(text).map_err(|e| format!("run manifest: {e}"))?;
-    check_version(&v, "run manifest")?;
-    let parts = arr(&v, "parts")?
-        .iter()
-        .map(|p| {
-            p.as_int()
-                .and_then(|i| u32::try_from(i).ok())
-                .ok_or_else(|| "run manifest: bad part".to_string())
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let grid = v
-        .get("grid")
-        .and_then(Value::as_arr)
-        .map(|raw| {
-            raw.iter()
-                .map(|e| {
-                    e.as_int()
-                        .and_then(|i| u64::try_from(i).ok())
-                        .ok_or_else(|| "run manifest: bad grid extent".to_string())
-                })
-                .collect::<Result<Vec<_>, _>>()
-        })
-        .transpose()?
-        .unwrap_or_default();
+    check_version(&v, "run manifest", 1)?;
+    let parts = nums(&v, "parts").map_err(|_| "run manifest: bad part".to_string())?;
+    // absent on schema-1 manifests: geometry unknown
+    let grid = match v.get("grid") {
+        None => Vec::new(),
+        Some(_) => nums(&v, "grid").map_err(|_| "run manifest: bad grid extent".to_string())?,
+    };
     Ok(RunManifest {
         source: str_field(&v, "source")?,
         parts,
@@ -713,7 +677,7 @@ pub fn epoch_dir(dir: &Path, epoch: u64) -> PathBuf {
 
 /// Path of rank `rank`'s snapshot within epoch `epoch`.
 pub fn rank_snapshot_path(dir: &Path, epoch: u64, rank: usize) -> PathBuf {
-    epoch_dir(dir, epoch).join(format!("rank-{rank}.json"))
+    epoch_dir(dir, epoch).join(format!("rank-{rank}.snap"))
 }
 
 /// Path of the run manifest within `dir`.
@@ -721,9 +685,10 @@ pub fn manifest_path(dir: &Path) -> PathBuf {
     dir.join("run.json")
 }
 
-fn write_atomic(path: &Path, text: &str) -> io::Result<()> {
-    let tmp = path.with_extension("json.tmp");
-    fs::write(&tmp, text)?;
+fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    fs::write(&tmp, bytes)?;
     fs::rename(&tmp, path)
 }
 
@@ -731,24 +696,24 @@ fn write_atomic(path: &Path, text: &str) -> io::Result<()> {
 /// atomically (temp file + rename — a crash mid-write never leaves a
 /// half-readable file under the final name). Returns the final path.
 pub fn write_snapshot(dir: &Path, snap: &Snapshot) -> io::Result<PathBuf> {
-    let edir = epoch_dir(dir, snap.epoch);
-    fs::create_dir_all(&edir)?;
-    let path = edir.join(format!("rank-{}.json", snap.rank));
-    write_atomic(&path, &snapshot_to_json(snap))?;
+    let bytes = encode_snapshot(snap).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+    fs::create_dir_all(epoch_dir(dir, snap.epoch))?;
+    let path = rank_snapshot_path(dir, snap.epoch, snap.rank);
+    write_atomic(&path, &bytes)?;
     Ok(path)
 }
 
 /// Load one snapshot file.
 pub fn load_snapshot(path: &Path) -> Result<Snapshot, String> {
-    let text = fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    snapshot_from_json(&text).map_err(|e| format!("{}: {e}", path.display()))
+    let bytes = fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+    decode_snapshot(&bytes).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Write the run manifest into `dir` (created if needed).
 pub fn write_manifest(dir: &Path, m: &RunManifest) -> io::Result<PathBuf> {
     fs::create_dir_all(dir)?;
     let path = manifest_path(dir);
-    write_atomic(&path, &manifest_to_json(m))?;
+    write_atomic(&path, manifest_to_json(m).as_bytes())?;
     Ok(path)
 }
 
@@ -799,7 +764,7 @@ pub fn latest_consistent_epoch(dir: &Path) -> Option<u64> {
 
 /// Load every rank's snapshot of one epoch, verifying consistency. The
 /// epoch's mesh size is inferred from the files themselves: with `n`
-/// `rank-<r>.json` files present, ranks `0..n` must all exist, each
+/// `rank-<r>.snap` files present, ranks `0..n` must all exist, each
 /// claiming its own rank out of exactly `n` and the requested epoch,
 /// all cut at the same sync visit with the same partition parts. This
 /// makes a fully-written epoch loadable without the manifest (an
@@ -815,11 +780,14 @@ pub fn load_epoch(dir: &Path, epoch: u64) -> Result<Vec<Snapshot>, String> {
         .filter(|e| {
             e.file_name()
                 .to_str()
-                .and_then(|n| n.strip_prefix("rank-")?.strip_suffix(".json"))
+                .and_then(|n| n.strip_prefix("rank-")?.strip_suffix(".snap"))
                 .is_some_and(|r| r.parse::<usize>().is_ok())
         })
         .count();
     if ranks == 0 {
+        if edir.join("rank-0.json").exists() {
+            return Err(format!("epoch {epoch}: {LEGACY_JSON}"));
+        }
         return Err(format!(
             "epoch {epoch}: no rank snapshots under {}",
             edir.display()
@@ -998,37 +966,60 @@ mod tests {
     #[test]
     fn snapshot_round_trips_bit_exactly() {
         let s = sample_snapshot(1, 2);
-        let back = snapshot_from_json(&snapshot_to_json(&s)).unwrap();
+        let back = decode_snapshot(&encode_snapshot(&s).unwrap()).unwrap();
         assert_eq!(back, s);
         // NaN payload preserved exactly through the bits encoding
         assert_eq!(back.arrays[0].data[2], f64::NAN.to_bits());
     }
 
+    /// Re-encode a valid snapshot file with its JSON header replaced
+    /// by `f(header)`, keeping the payload as it was.
+    fn with_header(bytes: &[u8], f: impl Fn(&str) -> String) -> Vec<u8> {
+        let len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
+        let header = f(std::str::from_utf8(&bytes[16..16 + len]).unwrap());
+        let mut out = SNAPSHOT_MAGIC.to_vec();
+        out.extend_from_slice(&(header.len() as u64).to_le_bytes());
+        out.extend_from_slice(header.as_bytes());
+        out.extend_from_slice(&bytes[16 + len..]);
+        out
+    }
+
     #[test]
-    fn digit_writer_matches_display() {
-        // every digit count, both sides of each power of ten, and a
-        // spread of full-width patterns
-        let mut words: Vec<u64> = (0..20)
-            .flat_map(|k| {
-                let p = 10u64.pow(k);
-                [p - 1, p, p + 1]
-            })
-            .collect();
-        let mut x = 1u64;
-        words.extend((0..1000).map(|_| {
-            x = x
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            x >> (x % 64)
-        }));
-        words.push(u64::MAX);
-        let mut w = SnapWriter { out: Vec::new() };
-        w.bits(&words);
-        let expect: Vec<String> = words.iter().map(u64::to_string).collect();
-        assert_eq!(
-            String::from_utf8(w.out).unwrap(),
-            format!("[{}]", expect.join(","))
-        );
+    fn array_length_must_match_its_bounds() {
+        let mut s = sample_snapshot(0, 1);
+        s.arrays[0].data.pop();
+        let err = encode_snapshot(&s).unwrap_err();
+        assert!(err.contains("`v`"), "{err}");
+        // `v` is 2x2: claiming one element more makes the payload one
+        // word short, claiming one fewer leaves a word over
+        let good = encode_snapshot(&sample_snapshot(0, 1)).unwrap();
+        let short = with_header(&good, |h| h.replace("[[1,2],[0,1]]", "[[1,2],[0,2]]"));
+        let err = decode_snapshot(&short).unwrap_err();
+        assert!(err.contains("overruns"), "{err}");
+        let long = with_header(&good, |h| h.replace("[[1,2]]", "[[1,1]]"));
+        let err = decode_snapshot(&long).unwrap_err();
+        assert!(err.contains("trailing"), "{err}");
+    }
+
+    #[test]
+    fn huge_bounds_fail_before_allocating() {
+        // bounds claiming 2^62 elements, or more than usize holds, in a
+        // file of a few hundred bytes: the size is checked against the
+        // bytes left, so this is an error, not an allocation failure
+        let good = encode_snapshot(&sample_snapshot(0, 1)).unwrap();
+        for claim in [
+            "[[1,2147483648],[1,2147483648]]",
+            "[[-9223372036854775808,9223372036854775807]]",
+        ] {
+            let bad = with_header(&good, |h| h.replace("[[1,2],[0,1]]", claim));
+            let err = decode_snapshot(&bad).unwrap_err();
+            assert!(err.contains("overruns"), "{claim}: {err}");
+        }
+        // a header length past the end of the file
+        let mut bad = good.clone();
+        bad[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+        let err = decode_snapshot(&bad).unwrap_err();
+        assert!(err.contains("overruns"), "{err}");
     }
 
     #[test]
@@ -1077,21 +1068,23 @@ mod tests {
 
     #[test]
     fn version_mismatch_rejected() {
-        let text =
-            snapshot_to_json(&sample_snapshot(0, 0)).replace("\"version\":2", "\"version\":9");
-        assert!(snapshot_from_json(&text).unwrap_err().contains("version 9"));
+        let bytes = encode_snapshot(&sample_snapshot(0, 0)).unwrap();
+        let bad = with_header(&bytes, |h| h.replace("\"version\":3", "\"version\":9"));
+        assert!(decode_snapshot(&bad).unwrap_err().contains("version 9"));
+        let mut bad = bytes.clone();
+        bad[0] = b'X';
+        assert!(decode_snapshot(&bad).unwrap_err().contains("magic"));
     }
 
     #[test]
-    fn schema_one_snapshot_reads_back_without_geometry() {
-        // a v1 snapshot has no `parts`; it must still load (geometry
-        // unknown → empty), so same-rank-count resume keeps working
-        let text = snapshot_to_json(&sample_snapshot(1, 3))
-            .replace("\"version\":2", "\"version\":1")
-            .replace(",\"parts\":[2,1]", "");
-        let back = snapshot_from_json(&text).unwrap();
-        assert!(back.parts.is_empty());
-        assert_eq!(back.rank, 1);
+    fn schema_one_and_two_json_snapshots_are_refused() {
+        // the JSON files of earlier schemas are not read, with an error
+        // naming the format rather than a parse failure
+        for version in [1, 2] {
+            let text = format!("{{\"version\":{version},\"rank\":0,\"ranks\":1}}");
+            let err = decode_snapshot(text.as_bytes()).unwrap_err();
+            assert!(err.contains("schema 1/2 JSON snapshot"), "{err}");
+        }
     }
 
     fn sample_manifest(ranks: usize) -> RunManifest {
@@ -1124,8 +1117,8 @@ mod tests {
 
         // truncate rank 1's newest snapshot mid-file: epoch 2 is torn
         let torn = rank_snapshot_path(&dir, 2, 1);
-        let text = fs::read_to_string(&torn).unwrap();
-        fs::write(&torn, &text[..text.len() / 2]).unwrap();
+        let bytes = fs::read(&torn).unwrap();
+        fs::write(&torn, &bytes[..bytes.len() / 2]).unwrap();
         assert_eq!(latest_consistent_epoch(&dir), Some(1));
 
         // remove it entirely: still epoch 1 (the survivor claims a
@@ -1238,14 +1231,121 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("acfd-ckpt-atomic-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let path = write_snapshot(&dir, &sample_snapshot(0, 7)).unwrap();
-        assert!(path.ends_with("epoch-7/rank-0.json"));
+        assert!(path.ends_with("epoch-7/rank-0.snap"));
         // no stray temp file left behind
         let names: Vec<String> = fs::read_dir(epoch_dir(&dir, 7))
             .unwrap()
             .flatten()
             .map(|e| e.file_name().to_string_lossy().into_owned())
             .collect();
-        assert_eq!(names, vec!["rank-0.json"]);
+        assert_eq!(names, vec!["rank-0.snap"]);
         let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    fn arb_array() -> impl Strategy<Value = ArraySnap> {
+        (
+            0usize..3,
+            0i64..4,
+            -2i64..3,
+            proptest::bool::ANY,
+            0u64..u64::MAX,
+        )
+            .prop_map(|(dims, extent, lo, is_int, seed)| {
+                let bounds = vec![(lo, lo + extent - 1); dims];
+                let n = element_count(&bounds).expect("small bounds");
+                ArraySnap {
+                    name: format!("a{dims}x{extent}"),
+                    bounds,
+                    is_int,
+                    data: (0..n as u64)
+                        .map(|k| seed.rotate_left(k as u32) ^ k)
+                        .collect(),
+                }
+            })
+    }
+
+    fn arb_snapshot() -> impl Strategy<Value = Snapshot> {
+        (
+            vec(arb_array(), 0..4),
+            vec(arb_array(), 0..3),
+            vec(0u64..u64::MAX, 0..4),
+            (0usize..4, 0u64..1_000, proptest::bool::ANY),
+        )
+            .prop_map(|(arrays, commons, input, (rank, epoch, cut))| Snapshot {
+                rank,
+                ranks: 4,
+                parts: vec![2, 2],
+                epoch,
+                sync_id: 3,
+                cursor: Cursor {
+                    stmt: 17,
+                    dos: vec![DoProgress {
+                        var: "it".into(),
+                        iv: 4,
+                        step: 1,
+                        remaining: epoch,
+                    }],
+                },
+                cut: cut.then_some(CutSite {
+                    list_kind: 1,
+                    list_stmt: 9,
+                    arm: 0,
+                    gap: 2,
+                }),
+                arrays,
+                commons: commons
+                    .into_iter()
+                    .map(|a| ("blk".to_string(), a.name.clone(), a))
+                    .collect(),
+                scalars: vec![
+                    ("i".into(), ScalarSnap::Int(-7)),
+                    ("err".into(), ScalarSnap::Real(input.len() as u64)),
+                    ("done".into(), ScalarSnap::Logical(cut)),
+                    ("tag".into(), ScalarSnap::Str("främe \"x\"".into())),
+                ],
+                input,
+                output: vec!["line one".into()],
+                ops: OpsSnap::default(),
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Hostile files: a valid encoding truncated at a random offset
+        /// and/or with random bytes flipped must decode to `Err` or to
+        /// some snapshot, never panic. Pure truncation is always `Err`:
+        /// the header and bounds fix the file's exact length.
+        #[test]
+        fn mangled_snapshots_never_panic(
+            s in arb_snapshot(),
+            truncate in proptest::bool::ANY,
+            cut_permille in 0usize..1000,
+            flips in vec((0usize..1_000_000, 1u8..=255), 0..4),
+        ) {
+            let good = encode_snapshot(&s).unwrap();
+            prop_assert_eq!(decode_snapshot(&good).unwrap(), s);
+            let mut bytes = good.clone();
+            if truncate {
+                bytes.truncate(good.len() * cut_permille / 1000);
+            }
+            for &(at, mask) in &flips {
+                if !bytes.is_empty() {
+                    let at = at % bytes.len();
+                    bytes[at] ^= mask;
+                }
+            }
+            let decoded = decode_snapshot(&bytes);
+            if truncate && flips.is_empty() {
+                prop_assert!(decoded.is_err(), "truncated to {} of {} bytes", bytes.len(), good.len());
+            }
+        }
     }
 }

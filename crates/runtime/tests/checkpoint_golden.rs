@@ -1,16 +1,20 @@
-//! Pins the on-disk snapshot format: `data/snapshot-golden.json` holds
-//! one snapshot per line, rendered by the encoder of checkpoint schema
-//! 2. The encoder must reproduce it byte for byte, and every line must
-//! decode and re-encode to the same bytes — so snapshots written by any
-//! earlier build of this schema keep loading, and a resumed run writes
-//! files an older build can read.
+//! Pins the on-disk snapshot format of checkpoint schema 3:
+//! `data/snapshot-golden.snap` and `data/snapshot-golden-bare.snap` are
+//! the encodings of the two fixtures below. The encoder must reproduce
+//! them byte for byte and each must decode back to its fixture — so
+//! snapshots written by any earlier build of this schema keep loading,
+//! and a resumed run writes files an older build can read.
+//! `data/snapshot-golden.json` holds two snapshots of the retired JSON
+//! format (schema 2), which must be refused with an error naming it.
 
 use autocfd_runtime::checkpoint::{
-    snapshot_from_json, snapshot_to_json, ArraySnap, Cursor, CutSite, DoProgress, OpsSnap,
+    decode_snapshot, encode_snapshot, load_epoch, ArraySnap, Cursor, CutSite, DoProgress, OpsSnap,
     ScalarSnap, Snapshot,
 };
 
-const GOLDEN: &str = include_str!("data/snapshot-golden.json");
+const GOLDEN: &[u8] = include_bytes!("data/snapshot-golden.snap");
+const GOLDEN_BARE: &[u8] = include_bytes!("data/snapshot-golden-bare.snap");
+const SCHEMA_2_JSON: &str = include_str!("data/snapshot-golden.json");
 
 /// Bit patterns the encoder must carry exactly: quiet and signalling
 /// NaNs with payloads, both zeros, the all-ones word, and ordinary
@@ -93,7 +97,7 @@ fn full_snapshot() -> Snapshot {
             "p".into(),
             ArraySnap {
                 name: "p".into(),
-                bounds: vec![(i64::MIN, i64::MAX)],
+                bounds: vec![(i64::MAX - 1, i64::MAX)],
                 is_int: false,
                 data: vec![0.25f64.to_bits(), u64::MAX],
             },
@@ -145,27 +149,36 @@ fn bare_snapshot() -> Snapshot {
     }
 }
 
-fn golden_lines() -> Vec<&'static str> {
-    let lines: Vec<&str> = GOLDEN.lines().collect();
-    assert_eq!(lines.len(), 2, "golden file holds one snapshot per line");
-    lines
-}
-
 #[test]
 fn encoder_reproduces_the_golden_bytes() {
-    let lines = golden_lines();
-    assert_eq!(snapshot_to_json(&full_snapshot()), lines[0]);
-    assert_eq!(snapshot_to_json(&bare_snapshot()), lines[1]);
+    assert_eq!(encode_snapshot(&full_snapshot()).unwrap(), GOLDEN);
+    assert_eq!(encode_snapshot(&bare_snapshot()).unwrap(), GOLDEN_BARE);
 }
 
 #[test]
 fn golden_snapshots_decode_and_re_encode_to_the_same_bytes() {
-    for (line, expect) in golden_lines()
-        .into_iter()
-        .zip([full_snapshot(), bare_snapshot()])
-    {
-        let back = snapshot_from_json(line).unwrap();
+    for (golden, expect) in [(GOLDEN, full_snapshot()), (GOLDEN_BARE, bare_snapshot())] {
+        let back = decode_snapshot(golden).unwrap();
         assert_eq!(back, expect);
-        assert_eq!(snapshot_to_json(&back), line);
+        assert_eq!(encode_snapshot(&back).unwrap(), golden);
     }
+}
+
+#[test]
+fn schema_two_json_snapshots_are_refused() {
+    let lines: Vec<&str> = SCHEMA_2_JSON.lines().collect();
+    assert_eq!(lines.len(), 2, "one schema-2 snapshot per line");
+    for line in &lines {
+        assert!(line.starts_with("{\"version\":2,"));
+        let err = decode_snapshot(line.as_bytes()).unwrap_err();
+        assert!(err.contains("schema 1/2 JSON snapshot"), "{err}");
+    }
+    // an epoch directory of the old format is refused by name too
+    let dir = std::env::temp_dir().join(format!("acfd-golden-json-{}", std::process::id()));
+    let edir = dir.join("epoch-1");
+    std::fs::create_dir_all(&edir).unwrap();
+    std::fs::write(edir.join("rank-0.json"), lines[1]).unwrap();
+    let err = load_epoch(&dir, 1).unwrap_err();
+    assert!(err.contains("schema 1/2 JSON snapshot"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

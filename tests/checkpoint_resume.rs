@@ -187,8 +187,8 @@ fn torn_newest_snapshot_falls_back_to_previous_epoch() {
     // tear rank 1's newest snapshot mid-file: that epoch is now
     // unreadable and recovery must fall back to the one before it
     let torn = rank_snapshot_path(&dir, newest, 1);
-    let text = std::fs::read_to_string(&torn).unwrap();
-    std::fs::write(&torn, &text[..text.len() / 3]).unwrap();
+    let bytes = std::fs::read(&torn).unwrap();
+    std::fs::write(&torn, &bytes[..bytes.len() / 3]).unwrap();
     let fallback = latest_consistent_epoch(&dir).expect("older epoch still consistent");
     assert!(fallback < newest, "torn epoch {newest} must be skipped");
 
